@@ -19,7 +19,7 @@ treats a violated inequality as a fatal implementation bug
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 
@@ -49,18 +49,24 @@ def rational_from_json(v: int | str) -> Fraction:
 
 @dataclass(frozen=True)
 class RemovalInstance:
-    """A basis A with a designated finite X ⊆ A whose removal is studied."""
+    """A basis A with a designated finite X ⊆ A whose removal is studied.
+
+    ``rest`` is A \\ X, computed once while the instance is validated.
+    """
 
     a: EventuallyPeriodicSet
     x: tuple[int, ...]
     label: str
+    rest: EventuallyPeriodicSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = [e for e in self.x if e not in self.a]
         if missing:
             raise ValueError(f"X must be a subset of A; missing {missing}")
-        if self.a.remove_finite(self.x).is_finite:
+        rest = self.a.remove_finite(self.x)
+        if rest.is_finite:
             raise ValueError("A \\ X must be infinite")
+        object.__setattr__(self, "rest", rest)
 
     def to_json(self) -> dict:
         return {"A": self.a.to_json(), "X": list(self.x), "label": self.label}
@@ -285,13 +291,12 @@ def verify_instance(inst: RemovalInstance, h_cap: int = DEFAULT_H_CAP,
     and propagates engine errors (NotABasisCertificate, OrderCapExceeded,
     NotASubset) for ineligible instances.
     """
-    a = inst.a
+    a, rest = inst.a, inst.rest
     x = as_finite_set(inst.x)
     res_a = order(a, h_cap, method=method)
-    rest = a.remove_finite(x)
     res_rest = order(rest, h_cap, method=method)
     h, g = res_a.order, res_rest.order
-    inv = instance_invariants(a, x)
+    inv = instance_invariants(a, x, rest)
 
     lower, upper = plagne_bounds(h)
     rhs_d = removal_bound_d(h, inv.d_x)

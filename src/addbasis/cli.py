@@ -56,7 +56,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_invariants(args) -> int:
     inst = RemovalInstance.from_json(_read_json_arg(args.instance))
-    inv = instance_invariants(inst.a, inst.x)
+    inv = instance_invariants(inst.a, inst.x, inst.rest)
     payload = inv.to_json()
     _emit(payload, args.json,
           [f"{key} = {val}" for key, val in payload.items()])

@@ -26,7 +26,7 @@ from functools import reduce
 from math import gcd
 from typing import Iterable
 
-from .errors import EmptyComplement, NoQualifyingPair, NotASubset, TooFewElements
+from .errors import EmptyComplement, NoQualifyingPair, TooFewElements
 from .periodic import EventuallyPeriodicSet, as_finite_set
 
 
@@ -36,8 +36,7 @@ def _element_window(s: EventuallyPeriodicSet, extra: int = 0) -> list[int]:
     Covers the finite part plus two whole periods of the tail (so every
     residue appears at least twice), extended by ``extra``.
     """
-    c = s.normalize()
-    return c.prefix(c.threshold + 2 * c.modulus + extra)
+    return s.prefix(s.threshold + 2 * s.modulus + extra)
 
 
 def delta(s: EventuallyPeriodicSet | Iterable[int]) -> int:
@@ -70,12 +69,6 @@ def d_of(xs: Iterable[int]) -> Fraction:
     return Fraction(diam(elems), delta(elems))
 
 
-def _check_subset(a: EventuallyPeriodicSet, xs: tuple[int, ...]) -> None:
-    missing = [x for x in xs if x not in a]
-    if missing:
-        raise NotASubset(f"elements not in A: {missing}")
-
-
 def eta_with_witness(a: EventuallyPeriodicSet,
                      xs: Iterable[int]) -> tuple[int, tuple[int, int]]:
     """eta(A, X) together with a minimising pair (smallest such pair).
@@ -86,8 +79,11 @@ def eta_with_witness(a: EventuallyPeriodicSet,
     its residue class, which lands both endpoints inside the window.
     """
     x = as_finite_set(xs)
-    _check_subset(a, x)
-    rest = a.remove_finite(x)
+    return _eta(a.remove_finite(x), x)
+
+
+def _eta(rest: EventuallyPeriodicSet,
+         x: tuple[int, ...]) -> tuple[int, tuple[int, int]]:
     gap_floor = x[-1] - x[0]
     elems = _element_window(rest, extra=gap_floor)
     best: tuple[int, int, int] | None = None
@@ -118,11 +114,13 @@ def mu_with_witness(a: EventuallyPeriodicSet,
     beyond X.
     """
     x = as_finite_set(xs)
-    _check_subset(a, x)
-    rest = a.remove_finite(x)
+    return _mu(a.remove_finite(x), x)
+
+
+def _mu(rest: EventuallyPeriodicSet, x: tuple[int, ...]) -> tuple[int, int]:
     if rest.is_empty:
         raise EmptyComplement("A \\ X is empty")
-    window = x[-1] + (x[-1] - x[0]) + rest.normalize().modulus + 1
+    window = x[-1] + (x[-1] - x[0]) + rest.modulus + 1
     candidates = rest.prefix(window)
     if not candidates:
         candidates = [rest.min_element()]
@@ -168,17 +166,24 @@ class InstanceInvariants:
         }
 
 
-def instance_invariants(a: EventuallyPeriodicSet,
-                        xs: Iterable[int]) -> InstanceInvariants:
-    """Compute every invariant of the pair (A, X) in one pass."""
+def instance_invariants(a: EventuallyPeriodicSet, xs: Iterable[int],
+                        rest: EventuallyPeriodicSet | None = None
+                        ) -> InstanceInvariants:
+    """Compute every invariant of the pair (A, X) in one pass.
+
+    ``rest`` is A \\ X when the caller already holds it; it is then taken
+    as given, not recomputed or checked.
+    """
     x = as_finite_set(xs)
+    if rest is None:
+        rest = a.remove_finite(x)
     if len(x) >= 2:
         dx = delta(x)
         d_val = Fraction(diam(x), dx)
     else:
         dx, d_val = 1, Fraction(0)
-    eta_val, eta_wit = eta_with_witness(a, x)
-    mu_val, mu_wit = mu_with_witness(a, x)
+    eta_val, eta_wit = _eta(rest, x)
+    mu_val, mu_wit = _mu(rest, x)
     return InstanceInvariants(
         delta_x=dx,
         diam_x=diam(x),

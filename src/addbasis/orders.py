@@ -44,11 +44,10 @@ from .errors import (
     EmptyOperand,
     NotABasisCertificate,
     NotACyclicBasis,
-    NotASubset,
     OrderCapExceeded,
 )
 from .invariants import delta
-from .periodic import EventuallyPeriodicSet, as_finite_set
+from .periodic import EventuallyPeriodicSet
 
 DEFAULT_H_CAP = 4096
 
@@ -113,7 +112,7 @@ def _rotate_into(acc: int, mask: int, shifts: int, n: int, full: int) -> int:
 
 
 def _residue_masks(s: EventuallyPeriodicSet) -> tuple[int, int, int]:
-    """(n, finite-part residues, tail residues) as bitmasks, canonical s."""
+    """(n, finite-part residues, tail residues) as bitmasks."""
     n = s.modulus
     fm = 0
     for f in s.finite_part:
@@ -137,19 +136,18 @@ def order(
     OrderCapExceeded when h_cap is reached without a decision.  ``cancel``
     is polled between h iterations.
     """
-    s = a.normalize()
-    if s.is_empty:
+    if a.is_empty:
         raise EmptyOperand("order of the empty set is undefined")
-    if s.is_finite:
+    if a.is_finite:
         raise NotABasisCertificate("finite set")
-    g = delta(s)
+    g = delta(a)
     if g > 1:
         raise NotABasisCertificate(f"all differences divisible by {g}")
     if method not in ("auto", "residue", "bitset"):
         raise ValueError(f"unknown method {method!r}")
     if method == "bitset":
-        return _order_bitset(s, h_cap, cancel)
-    return _order_residue(s, h_cap, cancel)
+        return _order_bitset(a, h_cap, cancel)
+    return _order_residue(a, h_cap, cancel)
 
 
 def _order_bitset(s: EventuallyPeriodicSet, h_cap: int,
@@ -243,11 +241,7 @@ def is_asymptotic_basis(a: EventuallyPeriodicSet,
 def removable(a: EventuallyPeriodicSet, xs: Iterable[int]) -> bool:
     """True iff A \\ X is still an asymptotic basis, by the gcd criterion:
     removal of a finite set keeps a basis iff delta(A \\ X) = 1."""
-    x = as_finite_set(xs)
-    missing = [e for e in x if e not in a]
-    if missing:
-        raise NotASubset(f"elements not in A: {missing}")
-    rest = a.remove_finite(x)
+    rest = a.remove_finite(xs)
     if rest.is_finite:
         return False
     return delta(rest) == 1

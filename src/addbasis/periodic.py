@@ -9,8 +9,9 @@ to a union of arithmetic progressions with a common modulus) has a unique
 canonical representation of this form: the modulus is the minimal eventual
 period, the threshold is the least point from which the periodic
 description is correct, and the finite part holds exactly the elements
-below the threshold.  Two canonical values are structurally equal iff they
-denote the same subset of N.
+below the threshold.  Every value is brought into this form when it is
+constructed, so two values are structurally equal iff they denote the
+same subset of N.
 
 Sumsets are computed exactly.  If S1 has threshold T1 and modulus n1, and
 S2 likewise, then S1 + S2 is periodic with period N = lcm(n1, n2) from
@@ -76,11 +77,14 @@ def _divisors(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class EventuallyPeriodicSet:
-    """Immutable eventually periodic subset of N.
+    """Immutable eventually periodic subset of N, canonical by construction.
 
-    Direct construction checks structural validity only.  Use
-    :meth:`from_parts` / :meth:`from_finite` / :meth:`from_periodic` to
-    obtain canonical values; :meth:`normalize` canonicalizes explicitly.
+    The fields must be structurally valid: a strictly increasing finite
+    part inside [0, threshold), residues inside [0, modulus).  Construction
+    checks that, then lowers the modulus to the minimal period and the
+    threshold to the least point from which the periodic description holds.
+    Structural equality is therefore set equality, and :meth:`normalize`
+    returns ``self``.
     """
 
     finite_part: tuple[int, ...]
@@ -102,6 +106,33 @@ class EventuallyPeriodicSet:
             if x < 0 or x >= self.threshold:
                 raise ValueError("finite part elements must lie in [0, threshold)")
             prev = x
+        self._canonicalize()
+
+    def _canonicalize(self) -> None:
+        """Rewrite the fields in place into the canonical form; runs once,
+        while the value is being constructed."""
+        finite, res = self.finite_part, self.residues
+        if not res:
+            t, m = (finite[-1] + 1 if finite else 0), 1
+        else:
+            n = self.modulus
+            m = next(m for m in _divisors(n)
+                     if all((r + m) % n in res for r in res))
+            if m < n:
+                res = frozenset(r % m for r in res)
+            # lower the threshold as far as the periodic description stays
+            # true; finite[:i] are the finite elements below t
+            t, i = self.threshold, len(finite)
+            while t > 0:
+                present = i > 0 and finite[i - 1] == t - 1
+                if present != ((t - 1) % m in res):
+                    break
+                t -= 1
+                i -= present
+            finite = finite[:i]
+        for name, value in (("finite_part", finite), ("threshold", t),
+                            ("modulus", m), ("residues", res)):
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # constructors
@@ -115,7 +146,7 @@ class EventuallyPeriodicSet:
         residues: Iterable[int] = (),
     ) -> "EventuallyPeriodicSet":
         return cls(tuple(sorted(set(finite))), threshold, modulus,
-                   frozenset(residues)).normalize()
+                   frozenset(residues))
 
     @classmethod
     def from_finite(cls, xs: Iterable[int]) -> "EventuallyPeriodicSet":
@@ -137,31 +168,10 @@ class EventuallyPeriodicSet:
     def naturals(cls) -> "EventuallyPeriodicSet":
         return cls((), 0, 1, frozenset({0}))
 
-    # ------------------------------------------------------------------
-    # canonical form
-
     def normalize(self) -> "EventuallyPeriodicSet":
-        """Canonical representation of the same subset of N (idempotent)."""
-        if not self.residues:
-            if not self.finite_part:
-                return EventuallyPeriodicSet((), 0, 1, frozenset())
-            return EventuallyPeriodicSet(
-                self.finite_part, self.finite_part[-1] + 1, 1, frozenset())
-        n, res = self.modulus, self.residues
-        for m in _divisors(n):
-            if all((r + m) % n in res for r in res):
-                break
-        small = frozenset(r % m for r in res)
-        # lower the threshold as far as the periodic description stays true
-        in_finite = set(self.finite_part)
-        t = self.threshold
-        while t > 0 and ((t - 1) in in_finite) == ((t - 1) % m in small):
-            t -= 1
-        finite = tuple(x for x in self.finite_part if x < t)
-        if (finite, t, m, small) == (self.finite_part, self.threshold,
-                                     self.modulus, self.residues):
-            return self
-        return EventuallyPeriodicSet(finite, t, m, small)
+        """The canonical representation: ``self``, which is canonical
+        from construction on."""
+        return self
 
     # ------------------------------------------------------------------
     # membership and enumeration
@@ -234,14 +244,14 @@ class EventuallyPeriodicSet:
         window = (mask >> tail_start) & ((1 << period) - 1)
         residues = frozenset((tail_start + j) % period for j in _mask_bits(window))
         finite = tuple(_mask_bits(mask & ((1 << tail_start) - 1)))
-        return cls(finite, tail_start, period, residues).normalize()
+        return cls(finite, tail_start, period, residues)
 
     # ------------------------------------------------------------------
     # arithmetic
 
     def sumset(self, other: "EventuallyPeriodicSet") -> "EventuallyPeriodicSet":
         """Exact sumset {a + b : a in self, b in other}, canonical."""
-        a, b = self.normalize(), other.normalize()
+        a, b = self, other
         if a.is_empty or b.is_empty:
             raise EmptyOperand("sumset of an empty set is undefined")
         period = lcm(a.modulus, b.modulus)
@@ -273,11 +283,10 @@ class EventuallyPeriodicSet:
         """
         if h < 1:
             raise ValueError("h must be >= 1")
-        s = self.normalize()
-        if s.is_empty:
+        if self.is_empty:
             raise EmptyOperand("h-fold sumset of an empty set is undefined")
         acc: EventuallyPeriodicSet | None = None
-        power = s
+        power = self
         while h:
             if h & 1:
                 acc = power if acc is None else acc.sumset(power)
@@ -291,13 +300,11 @@ class EventuallyPeriodicSet:
         """All x >= 0 congruent mod m to some element of the set."""
         if m < 1:
             raise ValueError("saturation modulus must be positive")
-        s = self.normalize()
-        if s.is_empty:
+        if self.is_empty:
             raise EmptyOperand("saturation of an empty set is undefined")
-        classes = {f % m for f in s.finite_part}
-        n = s.modulus
-        step = gcd(n, m)
-        for r in s.residues:
+        classes = {f % m for f in self.finite_part}
+        step = gcd(self.modulus, m)
+        for r in self.residues:
             # the tail meets every class congruent to r modulo gcd(n, m)
             classes.update(range(r % step, m, step))
         return EventuallyPeriodicSet.from_parts((), 0, m, classes)
@@ -305,46 +312,41 @@ class EventuallyPeriodicSet:
     def remove_finite(self, xs: Iterable[int]) -> "EventuallyPeriodicSet":
         """Canonical representation of S \\ X for a finite X ⊆ S."""
         removed = as_finite_set(xs)
-        s = self.normalize()
-        missing = [x for x in removed if x not in s]
+        missing = [x for x in removed if x not in self]
         if missing:
             raise NotASubset(f"elements not in the set: {missing}")
-        t = max(s.threshold, removed[-1] + 1)
+        t = max(self.threshold, removed[-1] + 1)
         gone = set(removed)
-        finite = [x for x in s.prefix(t - 1) if x not in gone]
-        return EventuallyPeriodicSet.from_parts(finite, t, s.modulus, s.residues)
+        finite = tuple(x for x in self.prefix(t - 1) if x not in gone)
+        return EventuallyPeriodicSet(finite, t, self.modulus, self.residues)
 
     def adjoin(self, xs: Iterable[int]) -> "EventuallyPeriodicSet":
         """Canonical representation of S ∪ X for a finite X."""
         extra = as_finite_set(xs)
-        s = self.normalize()
-        t = max(s.threshold, extra[-1] + 1)
-        finite = sorted(set(s.prefix(t - 1)) | set(extra))
-        return EventuallyPeriodicSet.from_parts(finite, t, s.modulus, s.residues)
+        t = max(self.threshold, extra[-1] + 1)
+        finite = tuple(sorted(set(self.prefix(t - 1)) | set(extra)))
+        return EventuallyPeriodicSet(finite, t, self.modulus, self.residues)
 
     # ------------------------------------------------------------------
     # predicates and invariants
 
     def is_cofinite(self) -> bool:
         """True iff N \\ S is finite (canonical tail covers every class)."""
-        s = self.normalize()
-        return s.modulus == 1 and bool(s.residues)
+        return self.modulus == 1 and bool(self.residues)
 
     def equal_up_to_finite(self, other: "EventuallyPeriodicSet") -> bool:
         """True iff the symmetric difference is finite."""
-        a, b = self.normalize(), other.normalize()
-        return (a.modulus, a.residues) == (b.modulus, b.residues)
+        return (self.modulus, self.residues) == (other.modulus, other.residues)
 
     def kneser_period(self, cap: int) -> int | None:
         """Least m <= cap with S ~ S^(m) (saturation changes only finitely
         many elements), or None if no such m exists up to the cap."""
         if cap < 1:
             raise ValueError("cap must be >= 1")
-        s = self.normalize()
-        if s.is_empty:
+        if self.is_empty:
             raise EmptyOperand("kneser_period of an empty set is undefined")
         for m in range(1, cap + 1):
-            if s.equal_up_to_finite(s.saturate(m)):
+            if self.equal_up_to_finite(self.saturate(m)):
                 return m
         return None
 
@@ -354,21 +356,19 @@ class EventuallyPeriodicSet:
         For an eventually periodic set the liminf of |S ∩ [1, n]| / n is
         attained along the tail, so it equals |residues| / modulus.
         """
-        s = self.normalize()
-        if not s.residues:
+        if not self.residues:
             return Fraction(0)
-        return Fraction(len(s.residues), s.modulus)
+        return Fraction(len(self.residues), self.modulus)
 
     def max_tail_gap(self) -> int:
         """Largest gap between consecutive elements of the periodic tail."""
-        s = self.normalize()
-        if not s.residues:
+        if not self.residues:
             raise EmptyOperand("a finite set has no periodic tail")
-        rs = sorted(s.residues)
+        rs = sorted(self.residues)
         if len(rs) == 1:
-            return s.modulus
+            return self.modulus
         gaps = [b - a for a, b in zip(rs, rs[1:])]
-        gaps.append(rs[0] + s.modulus - rs[-1])
+        gaps.append(rs[0] + self.modulus - rs[-1])
         return max(gaps)
 
     # ------------------------------------------------------------------

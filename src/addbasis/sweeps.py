@@ -33,7 +33,7 @@ from .bounds import (
     verify_instance,
 )
 from .errors import BoundViolation, PersistenceError, ToolkitError
-from .orders import DEFAULT_H_CAP
+from .orders import DEFAULT_H_CAP, _rotate_into
 from .periodic import EventuallyPeriodicSet
 
 FAMILIES = ("cubic", "quadratic", "two_residue")
@@ -86,13 +86,15 @@ class SweepSummary:
     max_ratio_d: Fraction | None = None
     max_ratio_mu: Fraction | None = None
 
-    def absorb_ratios(self, ratio_d: Fraction | None,
-                      ratio_mu: Fraction | None) -> None:
+    def absorb_ratios(self, record: dict) -> None:
+        """Fold a record row's ratio_d and ratio_mu into the maxima."""
+        ratio_d = None if record["ratio_d"] is None \
+            else rational_from_json(record["ratio_d"])
+        ratio_mu = rational_from_json(record["ratio_mu"])
         if ratio_d is not None and (self.max_ratio_d is None
                                     or ratio_d > self.max_ratio_d):
             self.max_ratio_d = ratio_d
-        if ratio_mu is not None and (self.max_ratio_mu is None
-                                     or ratio_mu > self.max_ratio_mu):
+        if self.max_ratio_mu is None or ratio_mu > self.max_ratio_mu:
             self.max_ratio_mu = ratio_mu
 
     def to_json(self) -> dict:
@@ -174,37 +176,56 @@ def _build_instance(family: str, params: dict) -> RemovalInstance:
         return cubic_family_instance(params["d"], params["k"])
     if family == "quadratic":
         return quadratic_family_instance(params["h"], params["mu"])
+    if family == "two_residue":
+        n, a, b, x = params["n"], params["a"], params["b"], tuple(params["x"])
+        core = EventuallyPeriodicSet.from_periodic(n, (a, b))
+        return RemovalInstance(core.adjoin(x), x,
+                               f"two_residue(n={n},a={a},b={b},"
+                               f"s={x[1] - x[0] if len(x) > 1 else 0},"
+                               f"len={len(x)})")
     raise ValueError(f"no single-instance builder for family {family!r}")
 
 
-def _run_family_task(args: tuple) -> list[dict]:
-    """Worker: all rows for one parameter tuple (one n for two_residue)."""
-    family, params, h_nominal, h_cap = args
+def _run_family_task(args: tuple) -> tuple[list[dict], int]:
+    """Worker: the rows of one parameter tuple (of one n for two_residue)
+    whose keys are not in ``done``, and the number of keys it skipped."""
+    family, params, h_nominal, h_cap, done = args
     if family == "two_residue":
-        return list(_two_residue_rows(params["n"], h_cap))
+        cases = [(p, None) for p in _two_residue_params(params["n"])]
+    else:
+        cases = [(params, h_nominal)]
+    rows = [_verify_row(family, p, h_nom, h_cap) for p, h_nom in cases
+            if not done or record_key(family, p) not in done]
+    return rows, len(cases) - len(rows)
+
+
+def _verify_row(family: str, params: dict, h_nominal: int | None,
+                h_cap: int) -> dict:
+    """The record row of one instance, or its error row."""
     try:
         report = verify_instance(_build_instance(family, params), h_cap)
     except BoundViolation:
         raise
     except ToolkitError as exc:
-        return [{"kind": "error", "family": family, "params": params,
-                 "error": f"{type(exc).__name__}: {exc}",
-                 "engine_version": ENGINE_VERSION}]
-    return [make_record(family, params, report, h_nominal)]
+        return {"kind": "error", "family": family, "params": params,
+                "error": f"{type(exc).__name__}: {exc}",
+                "engine_version": ENGINE_VERSION}
+    return make_record(family, params, report, h_nominal)
 
 
 # ----------------------------------------------------------------------
 # two-residue exhaustive family
 
-def _two_residue_rows(n: int, h_cap: int) -> Iterator[dict]:
-    """All removal instances built from a two-progression core mod n.
+def _two_residue_params(n: int) -> Iterator[dict]:
+    """Parameters of every removal instance built from a two-progression
+    core mod n.
 
     Core: A* = {x : x mod n in {a, b}} over all residue pairs a < b.
     Removed sets: arithmetic progressions X = {0, s, ..., (L-1)s} of
     length L <= 4 and difference s <= n, adjoined to the core
-    (A = A* ∪ X).  Instances are kept when A is a basis and X is
-    removable; both filters reduce to gcd checks, applied before any
-    engine work.
+    (A = A* ∪ X).  Every element of A \\ X lies in the core, so
+    delta(A \\ X) = gcd(b - a, n): X is removable iff that gcd is 1, and
+    then A ⊇ A \\ X is a basis too.  Only that gcd filters instances.
     """
     x_choices = [(0,)]
     for length in (2, 3, 4):
@@ -213,50 +234,27 @@ def _two_residue_rows(n: int, h_cap: int) -> Iterator[dict]:
     for a in range(n):
         for b in range(a + 1, n):
             if gcd(b - a, n) != 1:
-                continue  # X never removable: delta(A \ X) > 1
-            core = EventuallyPeriodicSet.from_periodic(n, (a, b))
+                continue
             for x in x_choices:
-                # basis filter: delta(A) = 1
-                g_all = gcd(b - a, n)
-                for e in x:
-                    g_all = gcd(g_all, e - a)
-                if g_all != 1:
-                    continue
-                inst = RemovalInstance(core.adjoin(x), x,
-                                       f"two_residue(n={n},a={a},b={b},"
-                                       f"s={x[1] - x[0] if len(x) > 1 else 0},"
-                                       f"len={len(x)})")
-                params = {"n": n, "a": a, "b": b, "x": list(x)}
-                try:
-                    report = verify_instance(inst, h_cap)
-                except BoundViolation:
-                    raise
-                except ToolkitError as exc:
-                    yield {"kind": "error", "family": "two_residue",
-                           "params": params,
-                           "error": f"{type(exc).__name__}: {exc}",
-                           "engine_version": ENGINE_VERSION}
-                    continue
-                yield make_record("two_residue", params, report, None)
+                yield {"n": n, "a": a, "b": b, "x": list(x)}
 
 
 # ----------------------------------------------------------------------
 # persistence and the sweep driver
 
-def _read_existing(path: Path, cfg: SweepConfig) -> set[str]:
-    """Keys already present in a sweep file, validating its header.
+def _read_existing(path: Path, cfg: SweepConfig) -> list[dict]:
+    """Record and error rows already present in a sweep file, after
+    validating its header.
 
     A run killed mid-write leaves a final line without a newline; that
     partial row is dropped (truncated away, so appends stay well formed)
-    and its tuple simply gets recomputed.
+    and its tuple simply gets recomputed.  The file is truncated only
+    once its header and configuration hash have been accepted, so a file
+    that is refused stays as it was.
     """
     raw = path.read_bytes()
-    if raw and not raw.endswith(b"\n"):
-        cut = raw.rfind(b"\n") + 1
-        with path.open("r+b") as fh:
-            fh.truncate(cut)
-        raw = raw[:cut]
-    lines = [line for line in raw.decode().splitlines() if line.strip()]
+    cut = raw.rfind(b"\n") + 1 if not raw.endswith(b"\n") else len(raw)
+    lines = [line for line in raw[:cut].decode().splitlines() if line.strip()]
     if not lines:
         raise PersistenceError(f"{path}: missing sweep header")
     try:
@@ -270,8 +268,10 @@ def _read_existing(path: Path, cfg: SweepConfig) -> set[str]:
         raise PersistenceError(
             f"{path}: existing results were produced by a different "
             "configuration; refusing to resume")
-    return {record_key(row["family"], row["params"]) for row in rows
-            if row.get("kind") in ("record", "error")}
+    if cut < len(raw):
+        with path.open("r+b") as fh:
+            fh.truncate(cut)
+    return [row for row in rows if row.get("kind") in ("record", "error")]
 
 
 def run_sweep(cfg: SweepConfig) -> SweepSummary:
@@ -279,15 +279,23 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
 
     Engine errors become error rows and never abort the sweep;
     BoundViolation is fatal.  Results are written in deterministic task
-    order regardless of parallelism.
+    order regardless of parallelism.  On resume, instances whose keys are
+    already in the file are skipped before any engine work, and the
+    summary's ratio maxima also cover the records already in the file.
     """
     summary = SweepSummary()
     path = Path(cfg.out) if cfg.out else None
-    existing: set[str] = set()
+    done: dict[str, set[str]] = {}  # keys already in the file, by task
     out_fh = None
     if path is not None:
         if cfg.resume and path.exists() and path.stat().st_size > 0:
-            existing = _read_existing(path, cfg)
+            for row in _read_existing(path, cfg):
+                p = row["params"]
+                task = {"n": p["n"]} if cfg.family == "two_residue" else p
+                done.setdefault(record_key(cfg.family, task), set()).add(
+                    record_key(row["family"], p))
+                if row["kind"] == "record":
+                    summary.absorb_ratios(row)
             out_fh = path.open("a")
         else:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -298,43 +306,34 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                       "written_at": _utc_now()}
             out_fh.write(json.dumps(header, sort_keys=True) + "\n")
 
-    tasks = []
-    for params, h_nominal in _family_tasks(cfg):
-        if cfg.family != "two_residue" and record_key(cfg.family, params) in existing:
-            summary.records_skipped += 1
-            continue
-        tasks.append((cfg.family, params, h_nominal, cfg.h_cap))
-
+    tasks = [(cfg.family, params, h_nominal, cfg.h_cap,
+              frozenset(done.get(record_key(cfg.family, params), ())))
+             for params, h_nominal in _family_tasks(cfg)]
     try:
         if cfg.parallelism > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-                batches = pool.map(_run_family_task, tasks, chunksize=1)
-                for rows in batches:
-                    _absorb_rows(rows, existing, summary, out_fh)
+                results = pool.map(_run_family_task, tasks, chunksize=1)
+                for rows, skipped in results:
+                    summary.records_skipped += skipped
+                    _absorb_rows(rows, summary, out_fh)
         else:
             for task in tasks:
-                _absorb_rows(_run_family_task(task), existing, summary, out_fh)
+                rows, skipped = _run_family_task(task)
+                summary.records_skipped += skipped
+                _absorb_rows(rows, summary, out_fh)
     finally:
         if out_fh is not None:
             out_fh.close()
     return summary
 
 
-def _absorb_rows(rows: list[dict], existing: set[str],
-                 summary: SweepSummary, out_fh) -> None:
+def _absorb_rows(rows: list[dict], summary: SweepSummary, out_fh) -> None:
     for row in rows:
-        key = record_key(row["family"], row["params"])
-        if key in existing:
-            summary.records_skipped += 1
-            continue
         if row["kind"] == "error":
             summary.errors += 1
         else:
             summary.records_written += 1
-            summary.absorb_ratios(
-                None if row["ratio_d"] is None
-                else rational_from_json(row["ratio_d"]),
-                rational_from_json(row["ratio_mu"]))
+            summary.absorb_ratios(row)
         if out_fh is not None:
             stamped = dict(row)
             stamped["ts"] = _utc_now()
@@ -418,9 +417,10 @@ def _klopsch_lev_n(n: int) -> dict:
         if any(c & ~pm == 0 for pm in prime_masks):
             continue  # trapped in a proper subgroup: not a basis
         s = c
+        shifts = c & (c - 1)  # bit 0 contributes s itself
         rho = 1
         while s != full:
-            grown = _grow(s, c, n, full)
+            grown = _rotate_into(s, s, shifts, n, full)
             if grown == s:
                 rho = 0
                 break
@@ -444,17 +444,6 @@ def _klopsch_lev_n(n: int) -> dict:
     return {"n": n, "bases": bases, "violations_divisor_bound": viol_31,
             "violations_product_bound": viol_32,
             "max_product_ratio": (best_num // g, best_den // g)}
-
-
-def _grow(s: int, c: int, n: int, full: int) -> int:
-    t = s
-    m = c & (c - 1)  # bit 0 contributes s itself
-    while m:
-        low = m & -m
-        e = low.bit_length() - 1
-        t |= ((s << e) | (s >> (n - e))) & full
-        m &= m - 1
-    return t
 
 
 def klopsch_lev_exhaustive(n_max: int, parallelism: int = 1) -> dict:

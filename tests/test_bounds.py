@@ -72,6 +72,7 @@ class TestQuadraticFamily:
         inst = quadratic_family_instance(h, mu)
         assert inst.x == (0, 1)
         assert inst.a.remove_finite(inst.x) == EPS.from_periodic(n, residues)
+        assert inst.rest == EPS.from_periodic(n, residues)
 
     @pytest.mark.parametrize("h,mu,expect", [
         (2, 2, (2, 4)), (3, 3, (4, 18)), (2, 4, (3, 8)),

@@ -162,6 +162,9 @@ class TestInstanceInvariants:
         if c.remove_finite(x).is_finite:
             return
         inv = instance_invariants(a, x)
+        assert instance_invariants(a, x, c.remove_finite(x)) == inv
+        assert eta_with_witness(a, x) == (inv.eta, inv.eta_witness)
+        assert mu_with_witness(a, x) == (inv.mu, inv.mu_witness)
         assert inv.eta >= inv.diam_x
         assert inv.mu >= inv.diam_x
         assert inv.diam_x % inv.delta_x == 0

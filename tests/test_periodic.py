@@ -2,6 +2,7 @@
 
 import pytest
 from fractions import Fraction
+from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,36 @@ from addbasis import EmptyOperand, EventuallyPeriodicSet, NotASubset
 from conftest import naive_h_fold_prefix, naive_sumset_prefix, periodic_sets
 
 EPS = EventuallyPeriodicSet
+
+
+@st.composite
+def valid_parts(draw, max_modulus=12, max_threshold=30):
+    """Structurally valid, usually non-canonical fields: a residue set
+    lifted to a multiple of its period, and a finite part that may copy
+    the tail below the threshold."""
+    n = draw(st.integers(1, max_modulus))
+    k = draw(st.integers(1, 3))
+    base = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    residues = frozenset(r + i * n for r in base for i in range(k))
+    t = draw(st.integers(0, max_threshold))
+    finite = draw(st.sets(st.integers(0, t - 1), max_size=8)) if t else set()
+    if draw(st.booleans()):
+        finite |= {y for y in range(t) if y % n in base}
+    return tuple(sorted(finite)), t, n * k, residues
+
+
+@st.composite
+def equal_or_independent_pairs(draw):
+    """A canonical set with either an independent one or another
+    description of the same set (longer period, higher threshold)."""
+    a = draw(periodic_sets(max_modulus=10, max_threshold=20, allow_empty=True))
+    if draw(st.booleans()):
+        return a, draw(periodic_sets(max_modulus=10, max_threshold=20,
+                                     allow_empty=True))
+    k = draw(st.integers(1, 3))
+    t = a.threshold + draw(st.integers(0, 10))
+    residues = frozenset(r + i * a.modulus for r in a.residues for i in range(k))
+    return a, EPS(tuple(a.prefix(t - 1)), t, a.modulus * k, residues)
 
 
 class TestNormalize:
@@ -46,6 +77,19 @@ class TestNormalize:
             EPS((), 0, 0, frozenset())  # zero modulus
         with pytest.raises(ValueError):
             EPS((), 0, 4, frozenset({4}))  # residue out of range
+
+    @given(valid_parts())
+    def test_construction_is_canonical(self, parts):
+        s = EPS(*parts)
+        assert s == EPS.from_parts(*parts)
+        assert s.normalize() is s
+
+    @given(equal_or_independent_pairs())
+    def test_equality_is_membership_on_a_window(self, pair):
+        a, b = pair
+        # both tails repeat with period lcm(n1, n2) from max(T1, T2) on
+        bound = a.threshold + b.threshold + 2 * lcm(a.modulus, b.modulus)
+        assert (a == b) == all((x in a) == (x in b) for x in range(bound))
 
 
 class TestContains:

@@ -1,6 +1,8 @@
 """Sweep driver: persistence, resume, determinism, exhaustive checks."""
 
+import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +20,7 @@ from addbasis import (
     read_records,
     run_sweep,
 )
+from addbasis import sweeps
 from addbasis.orders import CyclicSubset
 
 
@@ -167,6 +170,85 @@ class TestTwoResidueSweep:
         for rec in read_records(out):
             p = rec["params"]
             assert gcd(p["b"] - p["a"], p["n"]) == 1
+
+
+def _cut_in_half(path):
+    """Keep the first half of a sweep file, ending in a torn row."""
+    raw = path.read_bytes()
+    cut = len(raw) // 2
+    if raw[cut - 1:cut] == b"\n":
+        cut -= 1
+    path.write_bytes(raw[:cut])
+
+
+class TestTwoResidueResume:
+    def test_records_match_the_golden_hash(self, tmp_path):
+        out = tmp_path / "two.jsonl"
+        exhaustive_two_residue_sweep(8, out=str(out))
+        rows = _stripped(_rows(out)[1:])
+        blob = "\n".join(json.dumps(r, sort_keys=True) for r in rows)
+        assert len(rows) == 1225
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "712e53bd47f43067762958ade383a7b52993577d2b5a16655abce208212354fa")
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_resumed_summary_covers_the_whole_file(self, tmp_path,
+                                                   parallelism):
+        out = tmp_path / "two.jsonl"
+        fresh = exhaustive_two_residue_sweep(6, out=str(out))
+        _cut_in_half(out)
+        resumed = exhaustive_two_residue_sweep(6, out=str(out), resume=True,
+                                               parallelism=parallelism)
+        records = list(read_records(out))
+        assert resumed.records_written + resumed.records_skipped \
+            == fresh.records_written == len(records)
+        assert resumed.records_skipped > 0
+        assert resumed.max_ratio_d == fresh.max_ratio_d == max(
+            Fraction(r["ratio_d"]) for r in records if r["ratio_d"] is not None)
+        assert resumed.max_ratio_mu == fresh.max_ratio_mu
+
+    def test_refused_resume_leaves_the_file_untouched(self, tmp_path):
+        out = tmp_path / "two.jsonl"
+        exhaustive_two_residue_sweep(6, out=str(out))
+        _cut_in_half(out)
+        before = out.read_bytes()
+        with pytest.raises(PersistenceError):
+            exhaustive_two_residue_sweep(5, out=str(out), resume=True)
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_resume_verifies_only_missing_instances(self, tmp_path,
+                                                    monkeypatch, parallelism):
+        out = tmp_path / "two.jsonl"
+        exhaustive_two_residue_sweep(6, out=str(out))
+        full = [r["params"] for r in read_records(out)]
+        _cut_in_half(out)
+        whole_lines = out.read_bytes().rsplit(b"\n", 1)[0].splitlines()
+        kept = whole_lines[1:]  # rows before the torn one
+        verified, shipped = [], []
+        real_verify, real_task = sweeps.verify_instance, sweeps._run_family_task
+
+        def counting_verify(inst, *args, **kwargs):
+            verified.append(inst.label)
+            return real_verify(inst, *args, **kwargs)
+
+        def recording_task(args):
+            shipped.append(args)
+            return real_task(args)
+
+        # threads stand in for the process pool so the counts are visible
+        monkeypatch.setattr(sweeps, "verify_instance", counting_verify)
+        monkeypatch.setattr(sweeps, "_run_family_task", recording_task)
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", ThreadPoolExecutor)
+        resumed = exhaustive_two_residue_sweep(6, out=str(out), resume=True,
+                                               parallelism=parallelism)
+        assert len(verified) == resumed.records_written \
+            == len(full) - len(kept)
+        assert resumed.records_skipped == len(kept)
+        for _, params, _, _, done in shipped:
+            assert all(json.loads(k)["params"]["n"] == params["n"]
+                       for k in done)
+        assert [r["params"] for r in read_records(out)] == full
 
 
 class TestKlopschLevExhaustive:
