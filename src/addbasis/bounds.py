@@ -21,27 +21,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, factorial, floor
 
 from .errors import BoundViolation, NoQualifyingDivisor, ZeroDensity
-from .invariants import InstanceInvariants, instance_invariants
+from .invariants import (InstanceInvariants, instance_invariants,
+                         rational_to_json)
 from .orders import DEFAULT_H_CAP, order
-from .periodic import EventuallyPeriodicSet, as_finite_set
-
-
-def rational_to_json(x: int | Fraction) -> int | str:
-    """Exact JSON encoding: plain int when integral, "p/q" otherwise."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def rational_from_json(v: int | str) -> Fraction:
-    if isinstance(v, str):
-        num, den = v.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(v)
+from .periodic import (EventuallyPeriodicSet, _divisors, _json_field,
+                       as_finite_set)
 
 
 # ----------------------------------------------------------------------
@@ -51,6 +38,8 @@ def rational_from_json(v: int | str) -> Fraction:
 class RemovalInstance:
     """A basis A with a designated finite X ⊆ A whose removal is studied.
 
+    X may be any iterable of naturals; it is stored as the sorted,
+    duplicate-free tuple, so equal sets give equal, hashable instances.
     ``rest`` is A \\ X, computed once while the instance is validated.
     """
 
@@ -60,12 +49,14 @@ class RemovalInstance:
     rest: EventuallyPeriodicSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        missing = [e for e in self.x if e not in self.a]
+        x = as_finite_set(self.x)
+        missing = [e for e in x if e not in self.a]
         if missing:
             raise ValueError(f"X must be a subset of A; missing {missing}")
-        rest = self.a.remove_finite(self.x)
+        rest = self.a.remove_finite(x)
         if rest.is_finite:
             raise ValueError("A \\ X must be infinite")
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "rest", rest)
 
     def to_json(self) -> dict:
@@ -75,8 +66,9 @@ class RemovalInstance:
     def from_json(cls, obj: dict | str) -> "RemovalInstance":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return cls(EventuallyPeriodicSet.from_json(obj["A"]),
-                   as_finite_set(obj["X"]), obj.get("label", ""))
+        x = _json_field(obj, "X", [])
+        return cls(EventuallyPeriodicSet.from_json(obj["A"]), x,
+                   obj.get("label", ""))
 
 
 def cubic_family_instance(d: int, k: int) -> RemovalInstance:
@@ -198,10 +190,8 @@ def nash_nathanson_guides(k: int, h: int) -> tuple[Fraction, Fraction]:
     bounds at small h and nothing in this package asserts against them.
     """
     kk = k + 1
-    fact = 1
-    for i in range(2, kk + 1):
-        fact *= i
-    return (Fraction(4, 3) * Fraction(h, kk) ** kk, Fraction(h**kk, fact))
+    return (Fraction(4, 3) * Fraction(h, kk) ** kk,
+            Fraction(h**kk, factorial(kk)))
 
 
 def klopsch_lev_rhs(n: int, rho: int) -> int:
@@ -209,19 +199,11 @@ def klopsch_lev_rhs(n: int, rho: int) -> int:
     (n/d) * (floor((d-2)/(rho-1)) + 1)."""
     if rho < 2:
         raise ValueError("rho must be >= 2")
-    best = None
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for div in (d, n // d):
-                if div >= rho + 1:
-                    val = (n // div) * ((div - 2) // (rho - 1) + 1)
-                    if best is None or val > best:
-                        best = val
-        d += 1
-    if best is None:
+    vals = [(n // d) * ((d - 2) // (rho - 1) + 1)
+            for d in _divisors(n) if d >= rho + 1]
+    if not vals:
         raise NoQualifyingDivisor(f"no divisor of {n} is >= {rho + 1}")
-    return best
+    return max(vals)
 
 
 def gap_cover_density_bound(alpha: int | Fraction) -> Fraction:
@@ -292,32 +274,19 @@ class BoundReport:
                         "g_cofinite_from": self.g_witness},
         }
 
-    CSV_FIELDS = ("label", "h", "g", "delta", "diam", "d", "eta", "mu",
-                  "rhs_d", "rhs_eta", "rhs_mu", "rhs_mu_improved",
-                  "rhs_density_removed", "all_bounds_hold")
 
-    def to_csv_row(self) -> list:
-        inv = self.invariants
-        return [self.label, self.h, self.g, inv.delta_x, inv.diam_x,
-                rational_to_json(inv.d_x), inv.eta, inv.mu,
-                rational_to_json(self.rhs_d), self.rhs_eta, self.rhs_mu,
-                self.rhs_mu_improved, self.rhs_density_removed,
-                all(v for v in self.flags.values() if v is not None)]
-
-
-def verify_instance(inst: RemovalInstance, h_cap: int = DEFAULT_H_CAP,
-                    method: str = "auto") -> BoundReport:
-    """Compute h = G(A), g = G(A \\ X), all invariants and bound RHS
-    values, and assert every applicable bound.
+def verify_instance(inst: RemovalInstance,
+                    h_cap: int = DEFAULT_H_CAP) -> BoundReport:
+    """Compute h = G(A), g = G(A \\ X) with the residue engine, all
+    invariants and bound RHS values, and assert every applicable bound.
 
     Raises BoundViolation on any failed inequality (a bug by definition)
-    and propagates engine errors (NotABasisCertificate, OrderCapExceeded,
-    NotASubset) for ineligible instances.
+    and propagates engine errors (NotABasisCertificate, OrderCapExceeded)
+    for ineligible instances.
     """
-    a, rest = inst.a, inst.rest
-    x = as_finite_set(inst.x)
-    res_a = order(a, h_cap, method=method)
-    res_rest = order(rest, h_cap, method=method)
+    a, x, rest = inst.a, inst.x, inst.rest
+    res_a = order(a, h_cap)
+    res_rest = order(rest, h_cap)
     h, g = res_a.order, res_rest.order
     inv = instance_invariants(a, x, rest)
 

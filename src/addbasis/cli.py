@@ -106,13 +106,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_klopsch_lev(args) -> int:
     summary = klopsch_lev_exhaustive(args.n_max, parallelism=args.parallelism)
-    human = (f"checked {summary['bases_checked']} bases for n <= "
-             f"{summary['n_max']}: 0 violations, max |C|*rho/2n = "
-             f"{summary['max_product_ratio']}")
-    if not args.json:
-        _emit({}, False, [human])
-    else:
-        print(json.dumps(summary, sort_keys=True))
+    _emit(summary, args.json,
+          [f"checked {summary['bases_checked']} bases for n <= "
+           f"{summary['n_max']}: 0 violations, max |C|*rho/2n = "
+           f"{summary['max_product_ratio']}"])
     return 0
 
 
@@ -125,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="order of an asymptotic basis")
     p.add_argument("set", help="set JSON file, or - for stdin")
     p.add_argument("--h-cap", type=int, default=DEFAULT_H_CAP)
-    p.add_argument("--method", choices=("auto", "residue", "bitset"),
-                   default="auto")
+    p.add_argument("--method", choices=("residue", "bitset"),
+                   default="residue")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_order)
 

@@ -76,7 +76,3 @@ class PersistenceError(ToolkitError):
 
 class InternalInconsistency(ToolkitError):
     """An internal invariant failed (bug trap, should be unreachable)."""
-
-
-class Cancelled(ToolkitError):
-    """A long-running computation was interrupted by the caller."""

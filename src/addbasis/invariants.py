@@ -30,6 +30,14 @@ from .errors import EmptyComplement, NoQualifyingPair, TooFewElements
 from .periodic import EventuallyPeriodicSet, as_finite_set
 
 
+def rational_to_json(x: int | Fraction) -> int | str:
+    """Exact JSON encoding, parsed back by ``Fraction``: plain int when
+    integral, "p/q" otherwise."""
+    if x.denominator == 1:
+        return int(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
 def _element_window(s: EventuallyPeriodicSet, extra: int = 0) -> list[int]:
     """Prefix of s long enough to expose the full periodic gap structure.
 
@@ -66,7 +74,7 @@ def d_of(xs: Iterable[int]) -> Fraction:
     elems = as_finite_set(xs)
     if len(elems) < 2:
         raise TooFewElements("d(X) needs at least two elements")
-    return Fraction(diam(elems), delta(elems))
+    return Fraction(elems[-1] - elems[0], delta(elems))
 
 
 def eta_with_witness(a: EventuallyPeriodicSet,
@@ -154,11 +162,10 @@ class InstanceInvariants:
     mu_witness: int
 
     def to_json(self) -> dict:
-        dv = self.d_x
         return {
             "delta": self.delta_x,
             "diam": self.diam_x,
-            "d": int(dv) if dv.denominator == 1 else f"{dv.numerator}/{dv.denominator}",
+            "d": rational_to_json(self.d_x),
             "eta": self.eta,
             "mu": self.mu,
             "eta_witness": list(self.eta_witness),
@@ -177,16 +184,14 @@ def instance_invariants(a: EventuallyPeriodicSet, xs: Iterable[int],
     x = as_finite_set(xs)
     if rest is None:
         rest = a.remove_finite(x)
-    if len(x) >= 2:
-        dx = delta(x)
-        d_val = Fraction(diam(x), dx)
-    else:
-        dx, d_val = 1, Fraction(0)
+    diam_x = x[-1] - x[0]
+    dx = delta(x) if len(x) >= 2 else 1
+    d_val = Fraction(diam_x, dx)
     eta_val, eta_wit = _eta(rest, x)
     mu_val, mu_wit = _mu(rest, x)
     return InstanceInvariants(
         delta_x=dx,
-        diam_x=diam(x),
+        diam_x=diam_x,
         d_x=d_val,
         eta=eta_val,
         mu=mu_val,

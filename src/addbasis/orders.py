@@ -37,10 +37,9 @@ itself, with the same cycle-detection argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
-    Cancelled,
     EmptyOperand,
     NotABasisCertificate,
     NotACyclicBasis,
@@ -123,19 +122,17 @@ def _residue_masks(s: EventuallyPeriodicSet) -> tuple[int, int, int]:
     return n, fm, rm
 
 
-def order(
-    a: EventuallyPeriodicSet,
-    h_cap: int = DEFAULT_H_CAP,
-    method: str = "auto",
-    cancel: Callable[[], bool] | None = None,
-) -> OrderResult:
+def order(a: EventuallyPeriodicSet, h_cap: int = DEFAULT_H_CAP,
+          method: str = "residue") -> OrderResult:
     """Least h <= h_cap such that the h-fold sumset of ``a`` is cofinite.
 
-    Raises NotABasisCertificate when the set is provably not a basis
-    (finite set, gcd of differences > 1, or residue-state cycle), and
-    OrderCapExceeded when h_cap is reached without a decision.  ``cancel``
-    is polled between h iterations.
+    ``method`` names the engine, ``"residue"`` or ``"bitset"``; both give
+    the same order.  Raises NotABasisCertificate when the set is provably
+    not a basis (finite set, gcd of differences > 1, or residue-state
+    cycle), and OrderCapExceeded when h_cap is reached without a decision.
     """
+    if method not in ("residue", "bitset"):
+        raise ValueError(f"unknown method {method!r}")
     if a.is_empty:
         raise EmptyOperand("order of the empty set is undefined")
     if a.is_finite:
@@ -143,19 +140,14 @@ def order(
     g = delta(a)
     if g > 1:
         raise NotABasisCertificate(f"all differences divisible by {g}")
-    if method not in ("auto", "residue", "bitset"):
-        raise ValueError(f"unknown method {method!r}")
     if method == "bitset":
-        return _order_bitset(a, h_cap, cancel)
-    return _order_residue(a, h_cap, cancel)
+        return _order_bitset(a, h_cap)
+    return _order_residue(a, h_cap)
 
 
-def _order_bitset(s: EventuallyPeriodicSet, h_cap: int,
-                  cancel: Callable[[], bool] | None) -> OrderResult:
+def _order_bitset(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:
     fold = s
     for h in range(1, h_cap + 1):
-        if cancel is not None and cancel():
-            raise Cancelled("order computation interrupted")
         if fold.is_cofinite():
             return OrderResult(h, _cofinite_start(fold))
         if h < h_cap:
@@ -172,8 +164,7 @@ def _cofinite_start(fold: EventuallyPeriodicSet) -> int:
     return w
 
 
-def _order_residue(s: EventuallyPeriodicSet, h_cap: int,
-                   cancel: Callable[[], bool] | None) -> OrderResult:
+def _order_residue(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:
     n, fmask, rmask = _residue_masks(s)
     full = (1 << n) - 1
     cmask = fmask | rmask
@@ -181,8 +172,6 @@ def _order_residue(s: EventuallyPeriodicSet, h_cap: int,
     seen: set[tuple[int, int]] = set()
     top = max(s.finite_part[-1] if s.finite_part else 0, s.threshold)
     for h in range(1, h_cap + 1):
-        if cancel is not None and cancel():
-            raise Cancelled("order computation interrupted")
         u = _rotate_into(_rotate_into(0, u, cmask, n, full), v, rmask, n, full)
         v = _rotate_into(0, v, fmask, n, full)
         if u == full:

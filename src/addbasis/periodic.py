@@ -53,6 +53,17 @@ def as_finite_set(xs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _json_field(obj, key: str, default: int | list):
+    """``obj[key]`` (``default`` when absent) of a parsed JSON object,
+    checked to have the default's type: an int or a list of ints."""
+    v = obj.get(key, default) if isinstance(obj, dict) else None
+    kind = "a list of ints" if isinstance(default, list) else "an int"
+    if isinstance(v, list) != isinstance(default, list) or any(
+            type(e) is not int for e in (v if isinstance(v, list) else [v])):
+        raise ValueError(f"JSON field {key!r} must be {kind}, got {v!r}")
+    return v
+
+
 def _mask_bits(mask: int) -> list[int]:
     """Positions of set bits, ascending."""
     out = []
@@ -384,14 +395,15 @@ class EventuallyPeriodicSet:
 
     @classmethod
     def from_json(cls, obj: dict | str) -> "EventuallyPeriodicSet":
-        """Parse the interchange form; the result is canonicalized."""
+        """Parse the interchange form; the result is canonicalized.  A
+        field of the wrong JSON type raises ValueError."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         return cls.from_parts(
-            obj.get("finite", ()),
-            obj.get("threshold", 0),
-            obj.get("modulus", 1),
-            obj.get("residues", ()),
+            _json_field(obj, "finite", []),
+            _json_field(obj, "threshold", 0),
+            _json_field(obj, "modulus", 1),
+            _json_field(obj, "residues", []),
         )
 
     def __repr__(self) -> str:

@@ -28,11 +28,10 @@ from .bounds import (
     cubic_family_instance,
     klopsch_lev_rhs,
     quadratic_family_instance,
-    rational_from_json,
-    rational_to_json,
     verify_instance,
 )
 from .errors import BoundViolation, PersistenceError, ToolkitError
+from .invariants import rational_to_json
 from .orders import DEFAULT_H_CAP, _rotate_into
 from .periodic import EventuallyPeriodicSet
 
@@ -88,12 +87,11 @@ class SweepSummary:
 
     def absorb_ratios(self, record: dict) -> None:
         """Fold a record row's ratio_d and ratio_mu into the maxima."""
-        ratio_d = None if record["ratio_d"] is None \
-            else rational_from_json(record["ratio_d"])
-        ratio_mu = rational_from_json(record["ratio_mu"])
-        if ratio_d is not None and (self.max_ratio_d is None
-                                    or ratio_d > self.max_ratio_d):
-            self.max_ratio_d = ratio_d
+        if record["ratio_d"] is not None:
+            ratio_d = Fraction(record["ratio_d"])
+            if self.max_ratio_d is None or ratio_d > self.max_ratio_d:
+                self.max_ratio_d = ratio_d
+        ratio_mu = Fraction(record["ratio_mu"])
         if self.max_ratio_mu is None or ratio_mu > self.max_ratio_mu:
             self.max_ratio_mu = ratio_mu
 

@@ -230,12 +230,6 @@ class TestVerifyInstance:
                              "flags", "witness"}
         assert blob["rhs"]["d"] == 16  # h(h+3)/2 + 1*h(h-1)(h+4)/6 at h=3
 
-    def test_csv_row(self):
-        report = verify_instance(quadratic_family_instance(2, 2))
-        row = report.to_csv_row()
-        assert len(row) == len(report.CSV_FIELDS)
-        assert row[1] == 2 and row[2] == 4 and row[-1] is True
-
 
 class TestRemovalInstanceValidation:
     def test_x_must_be_subset(self):
@@ -251,3 +245,14 @@ class TestRemovalInstanceValidation:
         again = RemovalInstance.from_json(json.dumps(inst.to_json()))
         assert again.a == inst.a and again.x == inst.x
         assert again.label == inst.label
+
+    def test_x_is_canonical(self):
+        a = cubic_family_instance(1, 2).a
+        messy = RemovalInstance(a, (2, 0, 2), "l")
+        assert messy == RemovalInstance(a, (0, 2), "l")
+        assert messy.x == (0, 2) and messy.to_json()["X"] == [0, 2]
+        listed = RemovalInstance(a, [2, 0], "l")
+        assert hash(listed) == hash(messy) and listed == messy
+        assert verify_instance(messy).to_json() == \
+            verify_instance(cubic_family_instance(1, 2)).to_json() | {
+                "label": "l"}

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from addbasis.cli import main
 
 
@@ -33,9 +35,13 @@ class TestOrderCommand:
     def test_method_flag(self, tmp_path, capsys):
         path = tmp_path / "set.json"
         path.write_text(json.dumps({"modulus": 5, "residues": [2, 4]}))
-        code, out, _ = run_cli(capsys, "order", str(path),
-                               "--method", "bitset", "--json")
-        assert code == 0 and json.loads(out)["order"] == 4
+        for method in ("bitset", "residue"):
+            code, out, _ = run_cli(capsys, "order", str(path),
+                                   "--method", method, "--json")
+            assert code == 0 and json.loads(out)["order"] == 4
+        # exactly two engines: any other name is refused by argparse
+        code, _, err = run_cli(capsys, "order", str(path), "--method", "auto")
+        assert code == 1 and "invalid choice" in err
 
 
 class TestConstructAndVerify:
@@ -132,6 +138,25 @@ class TestUsageErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["order", str(path)]) == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("modulus", 2.0), ("threshold", True), ("X", 5), ("X", None),
+        ("finite", None), ("modulus", "3"), ("threshold", 2.5)])
+    def test_mistyped_instance_field(self, tmp_path, capsys, field, value):
+        # N written mod 2, minus {0}: well typed, it verifies with exit 0
+        inst = {"A": {"finite": [], "threshold": 0, "modulus": 2,
+                      "residues": [0, 1]}, "X": [0], "label": "N"}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst))
+        assert run_cli(capsys, "verify", str(path))[0] == 0
+        if field == "X":
+            inst["X"] = value
+        else:
+            inst["A"][field] = value
+        path.write_text(json.dumps(inst))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 1 and err.startswith("usage error:")
+        assert repr(field) in err
 
 
 class TestViolationExitCode:

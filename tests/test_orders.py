@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from addbasis import (
-    Cancelled,
     CyclicSubset,
     EventuallyPeriodicSet,
     NotABasisCertificate,
@@ -63,10 +62,6 @@ class TestOrder:
         with pytest.raises(OrderCapExceeded):
             order(EPS.from_periodic(8, {1, 4}), h_cap=6)
 
-    def test_cancellation(self):
-        with pytest.raises(Cancelled):
-            order(EPS.from_periodic(8, {1, 4}), cancel=lambda: True)
-
     def test_witness_threshold_is_valid(self):
         for method in ("residue", "bitset"):
             res = order(EPS.from_periodic(5, {2, 4}), method=method)
@@ -74,6 +69,10 @@ class TestOrder:
             w = res.cofinite_witness_threshold
             probe = fold.prefix(w + 40)
             assert set(range(w, w + 41)) <= set(probe)
+        # exactly two engines: any other method name is refused
+        for method in ("auto", "Residue", ""):
+            with pytest.raises(ValueError, match="unknown method"):
+                order(EPS.from_periodic(5, {2, 4}), method=method)
 
 
 class TestEngineAgreement:

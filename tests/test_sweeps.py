@@ -1,5 +1,6 @@
 """Sweep driver: persistence, resume, determinism, exhaustive checks."""
 
+import csv
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -137,8 +138,16 @@ class TestRunSweep:
         run_sweep(SweepConfig("cubic", {"d": [1], "k": [2, 3]}, out=str(out)))
         csv_path = tmp_path / "s.csv"
         assert export_csv(out, csv_path) == 2
-        lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == 3 and lines[0].startswith("family,")
+        with csv_path.open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["family", "params", "h", "g", "h_nominal",
+                          "delta", "diam", "d", "eta", "mu", "ratio_d",
+                          "ratio_mu", "engine_version"]
+        assert len(rows) == 2
+        first = dict(zip(header, rows[0]))
+        assert first["params"] == '{"d":1,"k":2}'
+        assert (first["h"], first["g"]) == ("3", "7")
+        assert (first["ratio_d"], first["ratio_mu"]) == ("7/27", "7/18")
 
 
 class TestTwoResidueSweep:
