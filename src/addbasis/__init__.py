@@ -17,7 +17,6 @@ from .errors import (
     NoQualifyingDivisor,
     NoQualifyingPair,
     NotABasisCertificate,
-    NotACyclicBasis,
     NotASubset,
     OrderCapExceeded,
     PersistenceError,
@@ -37,24 +36,14 @@ from .invariants import (
     mu,
     mu_with_witness,
 )
-from .orders import (
-    BasisDecision,
-    CyclicSubset,
-    OrderResult,
-    cyclic_order,
-    is_asymptotic_basis,
-    order,
-    removable,
-)
+from .orders import OrderResult, order
 from .bounds import (
     BoundReport,
     RemovalInstance,
     cubic_family_instance,
     cubic_family_orders,
     density_order_bound,
-    gap_cover_density_bound,
     klopsch_lev_rhs,
-    nash_nathanson_guides,
     plagne_bounds,
     quadratic_family_instance,
     quadratic_family_orders,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, factorial, floor
+from math import ceil, floor
 
 from .errors import BoundViolation, NoQualifyingDivisor, ZeroDensity
 from .invariants import (InstanceInvariants, instance_invariants,
@@ -182,18 +182,6 @@ def plagne_bounds(h: int) -> tuple[int, int]:
     return lower, upper
 
 
-def nash_nathanson_guides(k: int, h: int) -> tuple[Fraction, Fraction]:
-    """Asymptotic growth guides for the k-element-removal extremal order:
-    (4/3)(h/(k+1))^(k+1) and h^(k+1)/(k+1)!.
-
-    These describe behaviour as h grows for fixed k; they are NOT hard
-    bounds at small h and nothing in this package asserts against them.
-    """
-    kk = k + 1
-    return (Fraction(4, 3) * Fraction(h, kk) ** kk,
-            Fraction(h**kk, factorial(kk)))
-
-
 def klopsch_lev_rhs(n: int, rho: int) -> int:
     """max over divisors d | n with d >= rho + 1 of
     (n/d) * (floor((d-2)/(rho-1)) + 1)."""
@@ -204,15 +192,6 @@ def klopsch_lev_rhs(n: int, rho: int) -> int:
     if not vals:
         raise NoQualifyingDivisor(f"no divisor of {n} is >= {rho + 1}")
     return max(vals)
-
-
-def gap_cover_density_bound(alpha: int | Fraction) -> Fraction:
-    """1 / (2*ceil(alpha) + 1): lower density of any set that comes within
-    alpha of every sufficiently large integer."""
-    a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
-    return Fraction(1, 2 * ceil(a) + 1)
 
 
 def density_order_bound(s: EventuallyPeriodicSet) -> int:

@@ -50,10 +50,6 @@ class NotABasisCertificate(ToolkitError):
         super().__init__(f"not an asymptotic basis ({certificate})")
 
 
-class NotACyclicBasis(ToolkitError):
-    """The subset of Z/nZ provably never sums to the whole group."""
-
-
 class NoQualifyingDivisor(ToolkitError):
     """No divisor d | n with d >= rho + 1 exists."""
 

@@ -30,47 +30,20 @@ other in the test suite:
     sequence is deterministic, so revisiting a state before full coverage
     proves the set is not a basis.  Runs in tiny polynomial time in n.
 
-``cyclic_order`` answers the analogous covering question inside Z/nZ
-itself, with the same cycle-detection argument.
+``_rotate_into`` is the covering kernel.  Besides ``_order_residue`` its
+only driver is ``sweeps._klopsch_lev_n``, which grows the h-fold sums of
+a subset of Z/nZ containing 0 until they cover the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import (
-    EmptyOperand,
-    NotABasisCertificate,
-    NotACyclicBasis,
-    OrderCapExceeded,
-)
+from .errors import EmptyOperand, NotABasisCertificate, OrderCapExceeded
 from .invariants import delta
 from .periodic import EventuallyPeriodicSet
 
 DEFAULT_H_CAP = 4096
-
-
-@dataclass(frozen=True)
-class CyclicSubset:
-    """A nonempty subset of Z/nZ."""
-
-    modulus: int
-    elements: frozenset[int]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        if not self.elements:
-            raise ValueError("cyclic subset must be nonempty")
-        if not all(0 <= e < self.modulus for e in self.elements):
-            raise ValueError("elements must lie in [0, modulus)")
-
-    def mask(self) -> int:
-        m = 0
-        for e in self.elements:
-            m |= 1 << e
-        return m
 
 
 @dataclass(frozen=True)
@@ -84,20 +57,6 @@ class OrderResult:
 
     order: int
     cofinite_witness_threshold: int
-
-
-@dataclass(frozen=True)
-class BasisDecision:
-    """Three-valued answer of the asymptotic-basis test."""
-
-    kind: str  # "basis" | "not_basis" | "unknown"
-    order: int | None = None
-    certificate: str | None = None
-    h_cap: int | None = None
-
-    @property
-    def is_basis(self) -> bool | None:
-        return {"basis": True, "not_basis": False}.get(self.kind)
 
 
 def _rotate_into(acc: int, mask: int, shifts: int, n: int, full: int) -> int:
@@ -184,53 +143,3 @@ def _order_residue(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:
                 "h-fold residue states cycle without covering Z/nZ")
         seen.add(state)
     raise OrderCapExceeded(h_cap)
-
-
-def cyclic_order(c: CyclicSubset, h_cap: int | None = None) -> int:
-    """Least h with the exactly-h-fold sumset of c equal to all of Z/nZ.
-
-    Any basis of Z/nZ has order at most n - 1, so the default cap is n.
-    The h-fold subset sequence is deterministic, hence a repeated state
-    before full coverage proves NotACyclicBasis regardless of the cap.
-    """
-    n = c.modulus
-    if h_cap is None:
-        h_cap = n
-    cmask = c.mask()
-    full = (1 << n) - 1
-    s = cmask
-    seen: set[int] = set()
-    h = 1
-    while True:
-        if s == full:
-            if h > h_cap:
-                raise OrderCapExceeded(h_cap)
-            return h
-        if s in seen:
-            raise NotACyclicBasis(
-                f"{sorted(c.elements)} never sums to all of Z/{n}Z")
-        seen.add(s)
-        s = _rotate_into(0, s, cmask, n, full)
-        h += 1
-
-
-def is_asymptotic_basis(a: EventuallyPeriodicSet,
-                        h_cap: int = DEFAULT_H_CAP) -> BasisDecision:
-    """Decide basis status: definite yes (with order), definite no (with a
-    certificate), or unknown at the given cap."""
-    try:
-        res = order(a, h_cap)
-    except NotABasisCertificate as exc:
-        return BasisDecision("not_basis", certificate=exc.certificate)
-    except OrderCapExceeded:
-        return BasisDecision("unknown", h_cap=h_cap)
-    return BasisDecision("basis", order=res.order)
-
-
-def removable(a: EventuallyPeriodicSet, xs: Iterable[int]) -> bool:
-    """True iff A \\ X is still an asymptotic basis, by the gcd criterion:
-    removal of a finite set keeps a basis iff delta(A \\ X) = 1."""
-    rest = a.remove_finite(xs)
-    if rest.is_finite:
-        return False
-    return delta(rest) == 1

@@ -371,17 +371,6 @@ class EventuallyPeriodicSet:
             return Fraction(0)
         return Fraction(len(self.residues), self.modulus)
 
-    def max_tail_gap(self) -> int:
-        """Largest gap between consecutive elements of the periodic tail."""
-        if not self.residues:
-            raise EmptyOperand("a finite set has no periodic tail")
-        rs = sorted(self.residues)
-        if len(rs) == 1:
-            return self.modulus
-        gaps = [b - a for a, b in zip(rs, rs[1:])]
-        gaps.append(rs[0] + self.modulus - rs[-1])
-        return max(gaps)
-
     # ------------------------------------------------------------------
     # interchange format
 

@@ -78,3 +78,21 @@ def naive_mu(a: EventuallyPeriodicSet, x: tuple[int, ...],
     if not candidates:
         return None
     return min(max(hi, y) - min(lo, y) for y in candidates)
+
+
+def naive_cyclic_order(n: int, elems) -> int | None:
+    """Least h with every residue mod n a sum of exactly h elements of
+    ``elems``, or None when the exact sums never cover Z/nZ.
+
+    The exact h-fold sums are a deterministic function of the previous
+    ones, so a repeated set of sums before full coverage settles None.
+    """
+    elems = {e % n for e in elems}
+    sums, seen, h = set(elems), [], 1
+    while sums != set(range(n)):
+        if sums in seen:
+            return None
+        seen.append(sums)
+        sums = {(s + e) % n for s in sums for e in elems}
+        h += 1
+    return h

@@ -13,9 +13,7 @@ from addbasis import (
     cubic_family_instance,
     cubic_family_orders,
     density_order_bound,
-    gap_cover_density_bound,
     klopsch_lev_rhs,
-    nash_nathanson_guides,
     order,
     plagne_bounds,
     quadratic_family_instance,
@@ -154,11 +152,6 @@ class TestBoundFormulas:
         # floor(6*10/3) = 20; 21 + ceil(5/3) = 23
         assert plagne_bounds(6) == (20, 23)
 
-    def test_nash_nathanson_guides(self):
-        assert nash_nathanson_guides(1, 3) == (3, Fraction(9, 2))
-        assert nash_nathanson_guides(1, 1) == (Fraction(1, 3), Fraction(1, 2))
-        assert nash_nathanson_guides(2, 3) == (Fraction(4, 3), Fraction(9, 2))
-
     def test_klopsch_lev_rhs(self):
         assert klopsch_lev_rhs(8, 7) == 2
         assert klopsch_lev_rhs(6, 2) == 5
@@ -168,11 +161,6 @@ class TestBoundFormulas:
         with pytest.raises(NoQualifyingDivisor):
             klopsch_lev_rhs(6, 7)
 
-    def test_gap_cover_density(self):
-        assert gap_cover_density_bound(Fraction(3, 2)) == Fraction(1, 5)
-        assert gap_cover_density_bound(1) == Fraction(1, 3)
-        assert gap_cover_density_bound(Fraction(5, 2)) == Fraction(1, 7)
-
     def test_density_order_bound(self):
         assert density_order_bound(EPS.from_periodic(5, {2, 4})) == 10
         assert density_order_bound(EPS.naturals()) == 4
@@ -181,19 +169,6 @@ class TestBoundFormulas:
     def test_density_order_bound_rejects_finite(self):
         with pytest.raises(ZeroDensity):
             density_order_bound(EPS.from_finite([1, 2]))
-
-
-class TestGapDensityLemma:
-    def test_periodic_sets_meet_the_bound(self):
-        # alpha = (max tail gap)/2 makes every large integer alpha-close
-        # to the set, so the covering bound must lie below the density
-        import itertools
-        for n in range(1, 14):
-            for size in range(1, min(n, 3) + 1):
-                for rs in itertools.combinations(range(n), size):
-                    s = EPS.from_periodic(n, rs)
-                    alpha = Fraction(s.max_tail_gap(), 2)
-                    assert s.lower_density() >= gap_cover_density_bound(alpha)
 
 
 class TestVerifyInstance:

@@ -158,6 +158,29 @@ class TestUsageErrors:
         assert code == 1 and err.startswith("usage error:")
         assert repr(field) in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("h_cap", "64"), ("h_cap", True), ("ranges", [1, 2]), ("out", 5),
+        ("resume", "no"), ("parallelism", 2.5),
+        ("mu", {"min": 2.7, "max": 2.9}), ("--parallelism", 0)])
+    def test_mistyped_sweep_field(self, tmp_path, capsys, field, value):
+        if field == "--parallelism":  # worker count of klopsch-lev
+            argv = ["klopsch-lev", "--n-max", "5", field]
+            assert run_cli(capsys, *argv, "1")[0] == 0
+            code, _, err = run_cli(capsys, *argv, str(value))
+        else:
+            # well typed, this config sweeps one instance with exit 0
+            cfg = {"family": "quadratic", "h_cap": 64, "parallelism": 1,
+                   "ranges": {"h": [2], "mu": {"min": 2, "max": 2}},
+                   "out": str(tmp_path / "q.jsonl"), "resume": False}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            assert run_cli(capsys, "sweep", "--config", str(path))[0] == 0
+            (cfg["ranges"] if field == "mu" else cfg)[field] = value
+            path.write_text(json.dumps(cfg))
+            code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 1 and err.startswith("usage error:")
+        assert field.lstrip("-") in err
+
 
 class TestViolationExitCode:
     def test_bound_violation_maps_to_exit_3(self, tmp_path, capsys,

@@ -1,24 +1,27 @@
-"""Order computations: both engines, cyclic orders, basis decisions."""
+"""Order computations: both engines, cyclic orders, removability."""
 
 import pytest
 from hypothesis import given, settings
 
 from addbasis import (
-    CyclicSubset,
     EventuallyPeriodicSet,
     NotABasisCertificate,
-    NotACyclicBasis,
     OrderCapExceeded,
+    RemovalInstance,
     cubic_family_instance,
-    cyclic_order,
-    is_asymptotic_basis,
     order,
     quadratic_family_instance,
-    removable,
+    verify_instance,
 )
-from conftest import periodic_sets
+from conftest import naive_cyclic_order, periodic_sets
 
 EPS = EventuallyPeriodicSet
+
+
+def periodic_order(n, elems, **kwargs):
+    """Order of {x : x mod n in elems}, which is the least h with every
+    residue mod n a sum of exactly h elements of ``elems``."""
+    return order(EPS.from_periodic(n, elems), **kwargs).order
 
 
 class TestOrder:
@@ -119,50 +122,42 @@ class TestEngineAgreement:
 
 class TestCyclicOrder:
     def test_known_orders(self):
-        assert cyclic_order(CyclicSubset(8, frozenset({1, 4}))) == 7
-        assert cyclic_order(CyclicSubset(5, frozenset({1, 2}))) == 4
+        assert periodic_order(8, {1, 4}) == 7
+        assert periodic_order(5, {1, 2}) == 4
 
     def test_full_group_has_order_one(self):
-        assert cyclic_order(CyclicSubset(6, frozenset(range(6)))) == 1
+        assert periodic_order(6, range(6)) == 1
 
     def test_trivial_group(self):
-        assert cyclic_order(CyclicSubset(1, frozenset({0}))) == 1
+        assert periodic_order(1, {0}) == 1
 
     @pytest.mark.parametrize("n,elems", [(4, {2}), (2, {0}), (6, {0, 2, 4}),
                                          (4, {0, 2}), (9, {0, 3, 6})])
     def test_non_bases_are_detected(self, n, elems):
-        with pytest.raises(NotACyclicBasis):
-            cyclic_order(CyclicSubset(n, frozenset(elems)))
+        with pytest.raises(NotABasisCertificate):
+            periodic_order(n, elems)
 
     def test_singleton_generator(self):
         # the exact h-fold of {1} is the single class {h mod n}, so it
         # never covers for n > 1 despite generating the group
-        with pytest.raises(NotACyclicBasis):
-            cyclic_order(CyclicSubset(3, frozenset({1})))
+        with pytest.raises(NotABasisCertificate):
+            periodic_order(3, {1})
 
     def test_cap_below_the_order(self):
         with pytest.raises(OrderCapExceeded):
-            cyclic_order(CyclicSubset(8, frozenset({1, 4})), h_cap=3)
+            periodic_order(8, {1, 4}, h_cap=3)
 
     def test_brute_force_small_groups(self):
-        # independent reference: exact h-fold sums via python sets
         from itertools import combinations
         for n in range(1, 8):
             for size in range(1, n + 1):
                 for elems in combinations(range(n), size):
-                    state = set(elems)
-                    expect = None
-                    for h in range(1, 2 * n + 2):
-                        if state == set(range(n)):
-                            expect = h
-                            break
-                        state = {(s + c) % n for s in state for c in elems}
-                    sub = CyclicSubset(n, frozenset(elems))
+                    expect = naive_cyclic_order(n, elems)
                     if expect is None:
-                        with pytest.raises(NotACyclicBasis):
-                            cyclic_order(sub)
+                        with pytest.raises(NotABasisCertificate):
+                            periodic_order(n, elems)
                     else:
-                        assert cyclic_order(sub) == expect
+                        assert periodic_order(n, elems) == expect
 
 
 class TestCyclicConsistency:
@@ -172,46 +167,30 @@ class TestCyclicConsistency:
         for a in range(n):
             for b in range(a + 1, n):
                 s = EPS.from_periodic(n, {a, b})
-                sub = CyclicSubset(n, frozenset({a, b}))
                 if gcd(b - a, n) == 1:
-                    got = order(s).order
-                    rho = cyclic_order(sub)
-                    assert got == rho and got >= rho
+                    assert order(s).order == naive_cyclic_order(n, {a, b})
                 else:
+                    assert naive_cyclic_order(n, {a, b}) is None
                     with pytest.raises(NotABasisCertificate):
                         order(s)
 
 
-class TestBasisDecision:
-    def test_definite_yes(self):
-        dec = is_asymptotic_basis(EPS.from_periodic(8, {1, 4}))
-        assert dec.is_basis and dec.order == 7
-
-    def test_definite_no(self):
-        dec = is_asymptotic_basis(EPS.from_periodic(2, {0}))
-        assert dec.is_basis is False and "divisible" in dec.certificate
-
-    def test_finite_no(self):
-        dec = is_asymptotic_basis(EPS.from_finite([3, 5]))
-        assert dec.is_basis is False
-
-    def test_unknown_at_cap(self):
-        dec = is_asymptotic_basis(EPS.from_periodic(8, {1, 4}), h_cap=3)
-        assert dec.kind == "unknown" and dec.is_basis is None and dec.h_cap == 3
-
-
 class TestRemovable:
+    """X is removable when A \\ X is still a basis: the engine finds its
+    order, or certifies that it has none."""
+
     def test_cubic_removal_is_allowed(self):
-        inst = cubic_family_instance(1, 2)
-        assert removable(inst.a, inst.x)
+        assert order(cubic_family_instance(1, 2).rest).order == 7
 
     def test_removal_that_breaks_the_gcd(self):
         a = EPS.from_periodic(2, {0}).adjoin([1])
-        assert not removable(a, (1,))
+        with pytest.raises(NotABasisCertificate, match="divisible by 2"):
+            order(a.remove_finite((1,)))
+        with pytest.raises(NotABasisCertificate):
+            verify_instance(RemovalInstance(a, (1,), "N minus 1 mod 2"))
 
     def test_quadratic_removal_is_allowed(self):
-        inst = quadratic_family_instance(2, 2)
-        assert removable(inst.a, inst.x)
+        assert order(quadratic_family_instance(2, 2).rest).order == 4
 
 
 class TestKlopschLevSmall:
@@ -223,9 +202,8 @@ class TestKlopschLevSmall:
         for n in range(3, 11):
             for size in range(1, n + 1):
                 for elems in combinations(range(n), size):
-                    try:
-                        rho = cyclic_order(CyclicSubset(n, frozenset(elems)))
-                    except NotACyclicBasis:
+                    rho = naive_cyclic_order(n, elems)
+                    if rho is None:
                         continue
                     assert size * rho < 2 * n
                     if rho >= 2:

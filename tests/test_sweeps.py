@@ -10,10 +10,9 @@ from itertools import combinations
 import pytest
 
 from addbasis import (
-    NotACyclicBasis,
+    InternalInconsistency,
     PersistenceError,
     SweepConfig,
-    cyclic_order,
     exhaustive_two_residue_sweep,
     export_csv,
     klopsch_lev_exhaustive,
@@ -22,7 +21,7 @@ from addbasis import (
     run_sweep,
 )
 from addbasis import sweeps
-from addbasis.orders import CyclicSubset
+from conftest import naive_cyclic_order
 
 
 def _rows(path):
@@ -270,9 +269,8 @@ class TestKlopschLevExhaustive:
                 for elems in combinations(range(n), size):
                     if 0 not in elems:
                         continue
-                    try:
-                        rho = cyclic_order(CyclicSubset(n, frozenset(elems)))
-                    except NotACyclicBasis:
+                    rho = naive_cyclic_order(n, elems)
+                    if rho is None:
                         continue
                     direct += 1
                     assert size * rho < 2 * n
@@ -290,6 +288,15 @@ class TestKlopschLevExhaustive:
     def test_validates_input(self):
         with pytest.raises(ValueError):
             klopsch_lev_exhaustive(2)
+        with pytest.raises(ValueError, match="parallelism"):
+            klopsch_lev_exhaustive(8, parallelism=0)
+
+    def test_stalled_growth_is_a_bug(self, monkeypatch):
+        # every enumerated subset generates Z/nZ, so its h-fold sums can
+        # stall short of the group only through a fault in the kernel
+        monkeypatch.setattr(sweeps, "_rotate_into", lambda acc, *_: acc)
+        with pytest.raises(InternalInconsistency, match="stalled"):
+            sweeps._klopsch_lev_n(6)
 
     def test_parallel_summary_matches_sequential(self):
         seq = klopsch_lev_exhaustive(8)
