@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import or_
 from pathlib import Path
 from typing import Iterator
 
@@ -300,7 +301,13 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     order regardless of parallelism.  On resume, instances whose keys are
     already in the file are skipped before any engine work, and the
     summary's ratio maxima also cover the records already in the file.
+    A config that enumerates no parameters raises ValueError before
+    ``out`` is opened.
     """
+    family_tasks = list(_family_tasks(cfg))
+    if not family_tasks:
+        raise ValueError(f"sweep config enumerates no {cfg.family} "
+                         f"parameters: {cfg.ranges!r}")
     summary = SweepSummary()
     path = Path(cfg.out) if cfg.out else None
     done: dict[str, set[str]] = {}  # keys already in the file, by task
@@ -326,7 +333,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
 
     tasks = [(cfg.family, params, h_nominal, cfg.h_cap,
               frozenset(done.get(record_key(cfg.family, params), ())))
-             for params, h_nominal in _family_tasks(cfg)]
+             for params, h_nominal in family_tasks]
     try:
         for rows, skipped in _map(_run_family_task, tasks, cfg.parallelism):
             summary.records_skipped += skipped
@@ -368,9 +375,8 @@ def exhaustive_two_residue_sweep(n_max: int, h_cap: int = DEFAULT_H_CAP,
                                  out: str | None = None,
                                  parallelism: int = 1,
                                  resume: bool = False) -> SweepSummary:
-    """Verify every two-progression removal instance with modulus <= n_max."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    """Verify every two-progression removal instance with modulus <= n_max;
+    n_max < 2 enumerates nothing and raises ValueError."""
     cfg = SweepConfig(family="two_residue", ranges={"n_max": n_max},
                       h_cap=h_cap, out=out, parallelism=parallelism,
                       resume=resume)
@@ -408,8 +414,31 @@ def export_csv(jsonl_path: str | Path, csv_path: str | Path) -> int:
 # ----------------------------------------------------------------------
 # exhaustive check of bases in Z/nZ
 
+def _dilation_tables(n: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Byte tables of the dilations x ↦ u·x of Z/nZ by the units
+    1 < u < n, acting on masks of subsets of {1, ..., n - 1} (bit j marks
+    the element j + 1; 0 is fixed and left out).
+
+    Returns (shift, table) per byte of such a mask: table[b] holds, for
+    every such u in turn, the mask of the images of the elements that
+    byte b marks at that shift.  A dilation is a bijection, so the images
+    of distinct elements are distinct bits, and the image of a whole mask
+    is the sum of its bytes' entries.
+    """
+    units = [u for u in range(2, n) if gcd(u, n) == 1]
+    tables = []
+    for shift in range(0, n - 1, 8):
+        table = [(0,) * len(units)]
+        for b in range(1, 1 << min(8, n - 1 - shift)):
+            x = shift + (b & -b).bit_length()  # the lowest marked element
+            table.append(tuple(map(or_, table[b & (b - 1)],
+                                   [1 << (u * x % n - 1) for u in units])))
+        tables.append((shift, table))
+    return tables
+
+
 def _klopsch_lev_n(n: int) -> dict:
-    """Check every basis of Z/nZ (up to translation) against the divisor
+    """Check every basis of Z/nZ that contains 0 against the divisor
     bound and the product inequality |C| * rho < 2n.
 
     Both the order and the checked inequalities are invariant under
@@ -420,6 +449,20 @@ def _klopsch_lev_n(n: int) -> dict:
     of that group.  So hC grows strictly until it is all of Z/nZ, and a
     stall is a bug.  The growth needs no seen-set of states; the residue
     engine's driver, which keeps one, ran 2.1-2.8x slower here.
+
+    Each C is checked once per orbit under dilation.  For a unit u mod n,
+    x ↦ u·x is an automorphism of Z/nZ that fixes 0.  It keeps |C|, the
+    membership of 0 and the subgroup generated, and h(uC) = u(hC), so
+    uC covers Z/nZ at exactly the h at which C does: C and uC have the
+    same rho, and both inequalities hold on one exactly when they hold
+    on the other.  The first subset of an orbit {uC : u a unit} that the
+    enumeration reaches is its representative; it marks the orbit's
+    other members, which are then skipped.  No member is marked before
+    that, so the members it marks, plus itself, are the orbit's distinct
+    sets uC.  Their number is its orbit weight, and the base count and
+    both violation counts add that weight, so they equal the counts over
+    all subsets.  The maximum of |C| * rho / 2n needs no weight.  The
+    marks take 2^(n-1) bytes.
     """
     full = (1 << n) - 1
     prime_masks = [sum(1 << v for v in range(0, n, p))
@@ -427,12 +470,23 @@ def _klopsch_lev_n(n: int) -> dict:
                    if n % p == 0 and all(p % q for q in range(2, p))]
     # a basis containing 0 has rho <= n - 1, and d = n qualifies for it
     rhs = [0, 0] + [klopsch_lev_rhs(n, rho) for rho in range(2, n)]
+    tables = _dilation_tables(n)
+    seen = bytearray(1 << (n - 1))  # indexed by c >> 1
     bases = 0
     viol_31 = 0
     viol_32 = 0
     best_num, best_den = 0, 1  # max of |C|*rho / 2n
-    for half in range(1 << (n - 1)) if n > 1 else [0]:
+    half = 0
+    while half >= 0:
+        seen[half] = 1
+        orbit = 1
+        for image in map(sum, zip(*[table[(half >> shift) & 255]
+                                    for shift, table in tables])):
+            if not seen[image]:
+                seen[image] = 1
+                orbit += 1
         c = (half << 1) | 1
+        half = seen.find(0, half + 1)
         if any(c & ~pm == 0 for pm in prime_masks):
             continue  # trapped in a proper subgroup: not a basis
         s = c
@@ -445,14 +499,14 @@ def _klopsch_lev_n(n: int) -> dict:
                     f"h-fold sums of a generating set of Z/{n}Z stalled")
             s = grown
             rho += 1
-        bases += 1
+        bases += orbit
         size = c.bit_count()
         if size * rho >= 2 * n:
-            viol_32 += 1
+            viol_32 += orbit
         if size * rho * best_den > best_num * 2 * n:
             best_num, best_den = size * rho, 2 * n
         if rho >= 2 and size > rhs[rho]:
-            viol_31 += 1
+            viol_31 += orbit
     g = gcd(best_num, best_den) or 1
     return {"n": n, "bases": bases, "violations_divisor_bound": viol_31,
             "violations_product_bound": viol_32,
@@ -468,7 +522,9 @@ def klopsch_lev_exhaustive(n_max: int, parallelism: int = 1) -> dict:
         raise ValueError("n_max must be >= 3")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    per_n = list(_map(_klopsch_lev_n, range(1, n_max + 1), parallelism))
+    # largest n first: it takes longest, so the pool starts it first
+    per_n = list(_map(_klopsch_lev_n, range(n_max, 0, -1), parallelism))
+    per_n.reverse()
     total = sum(row["bases"] for row in per_n)
     v31 = sum(row["violations_divisor_bound"] for row in per_n)
     v32 = sum(row["violations_product_bound"] for row in per_n)

@@ -196,9 +196,11 @@ def bases_containing_zero(n: int) -> int:
 
 
 def test_criterion_4_klopsch_lev_exhaustive(capsys):
-    """Divisor bound and |C| * rho < 2n for every basis of Z/nZ, n <= 24
-    (enumeration pruned by translation symmetry).  Every subset containing
-    0 that generates Z/nZ is a basis, so the count is a Moebius sum."""
+    """Divisor bound and |C| * rho < 2n for every basis of Z/nZ that
+    contains 0, n <= 24.  Each subset is checked once per orbit under
+    dilation by units and counted with its orbit's size.  Every subset
+    containing 0 that generates Z/nZ is a basis, so the count is a
+    Moebius sum."""
     t0 = time.time()
     summary = klopsch_lev_exhaustive(24)
     expected = sum(bases_containing_zero(n) for n in range(1, 25))

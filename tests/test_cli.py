@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, pipelines, output formats."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -115,12 +116,22 @@ class TestSweepCommand:
 
 class TestKlopschLevCommand:
     def test_small_run(self, capsys):
-        code, out, _ = run_cli(capsys, "klopsch-lev", "--n-max", "12",
-                               "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["violations"] == 0
-        assert payload["bases_checked"] > 2000
+        # sha256 of the output of the enumeration over every subset,
+        # before it checked one subset per dilation orbit
+        for argv, digest in [
+            (["--n-max", "12", "--parallelism", "2", "--json"],
+             "217c457459c29fbf7280f47ef86dd878"
+             "e12de79cc76b9df4684880421522a77f"),
+            (["--n-max", "16", "--parallelism", "2", "--json"],
+             "6a1c7a7568ab07794ec77eb5fbd797f3"
+             "d4a8bcfa7dabf26b0c2e06b70308ff2d"),
+            (["--n-max", "10"],
+             "312dbf725c3a7d280e6501a196a3845d"
+             "75132e166d77e93c1efb8e45b557f037"),
+        ]:
+            code, out, _ = run_cli(capsys, "klopsch-lev", *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
     def test_human_output(self, capsys):
         code, out, _ = run_cli(capsys, "klopsch-lev", "--n-max", "6")
@@ -180,6 +191,23 @@ class TestUsageErrors:
             code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1 and err.startswith("usage error:")
         assert field.lstrip("-") in err
+
+    @pytest.mark.parametrize("family,ranges", [
+        ("two_residue", {"n_max": 1}),
+        ("cubic", {"d": {"min": 3, "max": 1}}),
+        ("quadratic", {"h": []})])
+    def test_empty_sweep_config(self, tmp_path, capsys, family, ranges):
+        # a config that enumerates nothing is refused before ``out`` is
+        # opened, so an existing results file stays as it was
+        out = tmp_path / "kept.jsonl"
+        out.write_text("earlier results\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": family, "ranges": ranges,
+                                    "out": str(out)}))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 1 and err.startswith("usage error:")
+        assert "enumerates no" in err and stdout == ""
+        assert out.read_text() == "earlier results\n"
 
 
 class TestViolationExitCode:

@@ -16,7 +16,6 @@ from addbasis import (
     exhaustive_two_residue_sweep,
     export_csv,
     klopsch_lev_exhaustive,
-    klopsch_lev_rhs,
     read_records,
     run_sweep,
 )
@@ -126,11 +125,15 @@ class TestRunSweep:
         assert summary.max_ratio_mu is not None
 
     def test_empty_range(self, tmp_path):
+        # a config that enumerates nothing is refused before ``out`` opens
         out = tmp_path / "none.jsonl"
-        summary = run_sweep(SweepConfig("cubic", {"d": [], "k": [2]},
-                                        out=str(out)))
-        assert summary.records_written == 0
-        assert [r["kind"] for r in _rows(out)] == ["header"]
+        with pytest.raises(ValueError, match="enumerates no cubic"):
+            run_sweep(SweepConfig("cubic", {"d": [], "k": [2]},
+                                  out=str(out)))
+        assert not out.exists()
+        with pytest.raises(ValueError, match="enumerates no two_residue"):
+            exhaustive_two_residue_sweep(1, out=str(out))
+        assert not out.exists()
 
     def test_csv_export(self, tmp_path):
         out = tmp_path / "s.jsonl"
@@ -259,25 +262,44 @@ class TestTwoResidueResume:
         assert [r["params"] for r in read_records(out)] == full
 
 
+def _direct_cyclic_row(n):
+    """The row of ``_klopsch_lev_n(n)``, counted over every subset of
+    Z/nZ that contains 0 with the brute-force order."""
+    bases = divisor = product = 0
+    best = Fraction(0)
+    for size in range(n):
+        for rest in combinations(range(1, n), size):
+            rho = naive_cyclic_order(n, (0,) + rest)
+            if rho is None:
+                continue
+            bases += 1
+            product += (size + 1) * rho >= 2 * n
+            divisor += rho >= 2 and size + 1 > sweeps.klopsch_lev_rhs(n, rho)
+            best = max(best, Fraction((size + 1) * rho, 2 * n))
+    return {"n": n, "bases": bases, "violations_divisor_bound": divisor,
+            "violations_product_bound": product,
+            "max_product_ratio": (best.numerator, best.denominator)}
+
+
 class TestKlopschLevExhaustive:
     def test_summary_matches_direct_enumeration(self):
-        # independent route: translation-free enumeration over all subsets
-        summary = klopsch_lev_exhaustive(7)
-        direct = 0
-        for n in range(1, 8):
-            for size in range(1, n + 1):
-                for elems in combinations(range(n), size):
-                    if 0 not in elems:
-                        continue
-                    rho = naive_cyclic_order(n, elems)
-                    if rho is None:
-                        continue
-                    direct += 1
-                    assert size * rho < 2 * n
-                    if rho >= 2:
-                        assert size <= klopsch_lev_rhs(n, rho)
-        assert summary["bases_checked"] == direct
+        # independent route: every subset containing 0, one at a time,
+        # against the rows that are checked once per dilation orbit
+        summary = klopsch_lev_exhaustive(12)
+        direct = [_direct_cyclic_row(n) for n in range(1, 13)]
+        assert summary["per_n"] == direct
+        assert summary["bases_checked"] == sum(r["bases"] for r in direct)
         assert summary["violations"] == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 11, 12])
+    def test_orbit_weights_reach_the_divisor_count(self, monkeypatch, n):
+        # with a right-hand side of 0 every basis with rho >= 2 violates
+        # the divisor bound, so the count must carry each orbit's weight
+        monkeypatch.setattr(sweeps, "klopsch_lev_rhs", lambda n, rho: 0)
+        row = sweeps._klopsch_lev_n(n)
+        assert row == _direct_cyclic_row(n)
+        # only the whole group covers itself at rho = 1
+        assert row["violations_divisor_bound"] == row["bases"] - 1
 
     def test_known_extremes(self):
         summary = klopsch_lev_exhaustive(8)
