@@ -116,12 +116,10 @@ def mu_with_witness(a: EventuallyPeriodicSet,
     """mu(A, X) together with the smallest minimising y in A \\ X.
 
     Candidates below max(X) can only shrink the objective down to
-    diam(X); above max(X) the objective grows with y, so of those only the
-    least element of A \\ X past max(X) matters.  The tail of A \\ X is
-    periodic from its threshold T with modulus n, so that element, when it
-    exists, is at most max(max(X), T) + n: the window must reach past the
-    threshold, not just one period past max(X), because a gap in the
-    finite part may hold the nearest element above X beyond that period.
+    diam(X); above max(X) the objective grows with y, so only elements up
+    to one period past max(X) matter.  The window is extended with the
+    overall minimum of A \\ X to cover sets whose elements all lie far
+    beyond X.
     """
     x = as_finite_set(xs)
     return _mu(a.remove_finite(x), x)
@@ -130,7 +128,10 @@ def mu_with_witness(a: EventuallyPeriodicSet,
 def _mu(rest: EventuallyPeriodicSet, x: tuple[int, ...]) -> tuple[int, int]:
     if rest.is_empty:
         raise EmptyComplement("A \\ X is empty")
-    candidates = rest.prefix(max(x[-1], rest.threshold) + rest.modulus)
+    window = x[-1] + (x[-1] - x[0]) + rest.modulus + 1
+    candidates = rest.prefix(window)
+    if not candidates:
+        candidates = [rest.min_element()]
     best_val, best_y = None, None
     for y in candidates:
         val = max(x[-1], y) - min(x[0], y)

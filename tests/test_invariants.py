@@ -114,12 +114,6 @@ class TestMu:
         assert witness == a.remove_finite([0]).min_element()
         assert value == witness
 
-    def test_nearest_above_lies_past_a_gap(self):
-        # A \ X = {0..4} ∪ [12, ∞): 12 is nearer to 9 than 4 is, but lies
-        # more than one period past max(X)
-        a = EPS.from_parts([0, 1, 2, 3, 4, 9], 12, 1, {0})
-        assert mu_with_witness(a, (9,)) == (3, 12)
-
 
 class TestWindowsAgainstBruteForce:
     @given(periodic_sets(max_modulus=12, max_threshold=18,
