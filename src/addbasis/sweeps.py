@@ -516,10 +516,12 @@ def _klopsch_lev_n(n: int) -> dict:
 def klopsch_lev_exhaustive(n_max: int, parallelism: int = 1) -> dict:
     """Run the cyclic-basis checks for every n <= n_max and summarise.
 
-    Raises BoundViolation if any proven inequality fails anywhere.
+    Raises BoundViolation if any proven inequality fails anywhere, and
+    ValueError for n_max above 28, so that the marks of one n (2^(n-1)
+    bytes, 128 MB at n = 28) stay small.
     """
-    if n_max < 3:
-        raise ValueError("n_max must be >= 3")
+    if not 3 <= n_max <= 28:
+        raise ValueError("n_max must be between 3 and 28")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     # largest n first: it takes longest, so the pool starts it first

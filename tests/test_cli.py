@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 
@@ -172,12 +173,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("field,value", [
         ("h_cap", "64"), ("h_cap", True), ("ranges", [1, 2]), ("out", 5),
         ("resume", "no"), ("parallelism", 2.5),
-        ("mu", {"min": 2.7, "max": 2.9}), ("--parallelism", 0)])
+        ("mu", {"min": 2.7, "max": 2.9}), ("--parallelism", 0),
+        ("--n-max", 29)])
     def test_mistyped_sweep_field(self, tmp_path, capsys, field, value):
-        if field == "--parallelism":  # worker count of klopsch-lev
-            argv = ["klopsch-lev", "--n-max", "5", field]
-            assert run_cli(capsys, *argv, "1")[0] == 0
-            code, _, err = run_cli(capsys, *argv, str(value))
+        if field.startswith("--"):  # an option of klopsch-lev
+            opts = {"--n-max": "5", "--parallelism": "1"}
+            assert run_cli(capsys, "klopsch-lev", *chain(*opts.items()))[0] == 0
+            opts[field] = str(value)
+            code, _, err = run_cli(capsys, "klopsch-lev", *chain(*opts.items()))
         else:
             # well typed, this config sweeps one instance with exit 0
             cfg = {"family": "quadratic", "h_cap": 64, "parallelism": 1,
@@ -190,7 +193,7 @@ class TestUsageErrors:
             path.write_text(json.dumps(cfg))
             code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1 and err.startswith("usage error:")
-        assert field.lstrip("-") in err
+        assert field.lstrip("-").replace("-", "_") in err
 
     @pytest.mark.parametrize("family,ranges", [
         ("two_residue", {"n_max": 1}),

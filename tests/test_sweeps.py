@@ -307,9 +307,14 @@ class TestKlopschLevExhaustive:
         ratio = summary["max_product_ratio"]
         assert Fraction(*map(int, ratio.split("/"))) == Fraction(14, 16)
 
-    def test_validates_input(self):
+    def test_validates_input(self, monkeypatch):
         with pytest.raises(ValueError):
             klopsch_lev_exhaustive(2)
+        # the marks of n = 29 alone would take 256 MB: refused before any
+        # n is checked
+        monkeypatch.setattr(sweeps, "_klopsch_lev_n", None)
+        with pytest.raises(ValueError, match="n_max"):
+            klopsch_lev_exhaustive(29)
         with pytest.raises(ValueError, match="parallelism"):
             klopsch_lev_exhaustive(8, parallelism=0)
 
