@@ -41,8 +41,8 @@ class OrderCapExceeded(ToolkitError):
 class NotABasisCertificate(ToolkitError):
     """The set is provably not an asymptotic basis.
 
-    ``certificate`` is a short human-readable reason, e.g. the common
-    divisor of all differences, or the detected residue-state cycle.
+    ``certificate`` is a short human-readable reason: the set is finite,
+    or the common divisor of all its differences.
     """
 
     def __init__(self, certificate: str):

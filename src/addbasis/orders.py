@@ -17,29 +17,30 @@ other in the test suite:
 ``residue``
     Reduces the cofiniteness question to residue classes.  Write
     A = F ∪ P with F the exceptional finite part and P the full periodic
-    tail (mod n from the threshold on).  A large x lies in hA iff x mod n
-    is a sum of m residues of F and j = h - m residues of the tail with
-    j >= 1: the tail factors absorb any multiple of n, while a sum using
-    only F elements is bounded.  So hA is cofinite iff
+    tail (mod n from the threshold on), R the tail residues and
+    C = (F ∪ R) mod n.  A large x lies in hA iff x mod n is a sum of h
+    residues of C at least one of which is in R: the tail factors absorb
+    any multiple of n, while a sum using only F elements is bounded.  So
+    hA is cofinite iff U_h := R + (h-1)C is all of Z/nZ.
 
-        U_h := ∪_{m=0}^{h-1} (m-fold sums of F mod n) + ((h-m)-fold sums
-               of tail residues mod n)   equals all of Z/nZ,
+    Pick c0 ∈ C and put D = C - c0.  Translating by (h-1)c0 shows that
+    U_h covers Z/nZ exactly when R + (h-1)D does.  D contains 0, so the
+    sets R + kD are nested.  Once delta(A) = 1, D generates Z/nZ: if
+    <C - C> were dZ/nZ with 1 < d | n, d would divide every difference
+    of A.  A nonempty S with S + D = S is a union of cosets of <D>, so
+    it is Z/nZ: the sets R + kD grow strictly until they cover the
+    group, and G(A) <= n - |R| + 1.  A stall is a bug.
 
-    which is tracked by the pair recurrence U' = (U + C) ∪ (V + R),
-    V' = V + F over subsets of Z/nZ (C = F ∪ R, V_0 = {0}).  The state
-    sequence is deterministic, so revisiting a state before full coverage
-    proves the set is not a basis.  Runs in tiny polynomial time in n.
-
-``_rotate_into`` is the covering kernel.  Besides ``_order_residue`` its
-only driver is ``sweeps._klopsch_lev_n``, which grows the h-fold sums of
-a subset of Z/nZ containing 0 until they cover the group.
+``_cover`` is the covering driver and ``_rotate_into`` its kernel.
+``sweeps._klopsch_lev_n`` drives it too, growing C + kC for C ∋ 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyOperand, NotABasisCertificate, OrderCapExceeded
+from .errors import (EmptyOperand, InternalInconsistency,
+                     NotABasisCertificate, OrderCapExceeded)
 from .invariants import delta
 from .periodic import EventuallyPeriodicSet
 
@@ -69,16 +70,22 @@ def _rotate_into(acc: int, mask: int, shifts: int, n: int, full: int) -> int:
     return acc
 
 
-def _residue_masks(s: EventuallyPeriodicSet) -> tuple[int, int, int]:
-    """(n, finite-part residues, tail residues) as bitmasks."""
-    n = s.modulus
-    fm = 0
-    for f in s.finite_part:
-        fm |= 1 << (f % n)
-    rm = 0
-    for r in s.residues:
-        rm |= 1 << r
-    return n, fm, rm
+def _cover(s: int, steps: int, n: int, cap: int) -> int | None:
+    """Least k <= cap with s + kD = Z/nZ, where D = steps ∪ {0} generates
+    Z/nZ, or None if k would pass cap.  Raises InternalInconsistency if
+    the sums stall short of the group, which that condition rules out."""
+    full = (1 << n) - 1
+    k = 0
+    while s != full:
+        if k == cap:
+            return None
+        grown = _rotate_into(s, s, steps, n, full)
+        if grown == s:
+            raise InternalInconsistency(
+                f"sums of a generating set of Z/{n}Z stalled")
+        s = grown
+        k += 1
+    return k
 
 
 def order(a: EventuallyPeriodicSet, h_cap: int = DEFAULT_H_CAP,
@@ -87,11 +94,14 @@ def order(a: EventuallyPeriodicSet, h_cap: int = DEFAULT_H_CAP,
 
     ``method`` names the engine, ``"residue"`` or ``"bitset"``; both give
     the same order.  Raises NotABasisCertificate when the set is provably
-    not a basis (finite set, gcd of differences > 1, or residue-state
-    cycle), and OrderCapExceeded when h_cap is reached without a decision.
+    not a basis (finite set, or gcd of differences > 1), OrderCapExceeded
+    when h_cap is reached without a decision, and ValueError for an
+    unknown method or h_cap < 1.
     """
     if method not in ("residue", "bitset"):
         raise ValueError(f"unknown method {method!r}")
+    if h_cap < 1:
+        raise ValueError(f"h_cap must be >= 1, got {h_cap}")
     if a.is_empty:
         raise EmptyOperand("order of the empty set is undefined")
     if a.is_finite:
@@ -124,22 +134,17 @@ def _cofinite_start(fold: EventuallyPeriodicSet) -> int:
 
 
 def _order_residue(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:
-    n, fmask, rmask = _residue_masks(s)
-    full = (1 << n) - 1
-    cmask = fmask | rmask
-    u, v = 0, 1
-    seen: set[tuple[int, int]] = set()
+    n = s.modulus
+    rmask = sum(1 << r for r in s.residues)
+    cmask = rmask
+    for f in s.finite_part:
+        cmask |= 1 << (f % n)
+    c0 = (cmask & -cmask).bit_length() - 1
+    dmask = ((cmask | cmask << n) >> c0) & ((1 << n) - 1)  # C - c0
+    k = _cover(rmask, dmask & (dmask - 1), n, h_cap - 1)
+    if k is None:
+        raise OrderCapExceeded(h_cap)
     top = max(s.finite_part[-1] if s.finite_part else 0, s.threshold)
-    for h in range(1, h_cap + 1):
-        u = _rotate_into(_rotate_into(0, u, cmask, n, full), v, rmask, n, full)
-        v = _rotate_into(0, v, fmask, n, full)
-        if u == full:
-            # valid witness: pick tail representatives in [T, T+n) and push
-            # the surplus (a multiple of n) onto one of them
-            return OrderResult(h, h * (top + n))
-        state = (u, v)
-        if state in seen:
-            raise NotABasisCertificate(
-                "h-fold residue states cycle without covering Z/nZ")
-        seen.add(state)
-    raise OrderCapExceeded(h_cap)
+    # valid witness: pick tail representatives in [T, T+n) and push the
+    # surplus (a multiple of n) onto one of them
+    return OrderResult(k + 1, (k + 1) * (top + n))

@@ -34,7 +34,7 @@ from .bounds import (
 from .errors import (BoundViolation, InternalInconsistency,
                      PersistenceError, ToolkitError)
 from .invariants import rational_to_json
-from .orders import DEFAULT_H_CAP, _rotate_into
+from .orders import DEFAULT_H_CAP, _cover
 from .periodic import EventuallyPeriodicSet, _json_field
 
 FAMILIES = ("cubic", "quadratic", "two_residue")
@@ -223,7 +223,7 @@ def _verify_row(family: str, params: dict, h_nominal: int | None,
     """The record row of one instance, or its error row."""
     try:
         report = verify_instance(_build_instance(family, params), h_cap)
-    except BoundViolation:
+    except (BoundViolation, InternalInconsistency):
         raise
     except ToolkitError as exc:
         return {"kind": "error", "family": family, "params": params,
@@ -297,8 +297,9 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     """Run the configured sweep, appending JSONL rows, and summarise.
 
     Engine errors become error rows and never abort the sweep;
-    BoundViolation is fatal.  Results are written in deterministic task
-    order regardless of parallelism.  On resume, instances whose keys are
+    BoundViolation and the bug trap InternalInconsistency are fatal.
+    Results are written in deterministic task order regardless of
+    parallelism.  On resume, instances whose keys are
     already in the file are skipped before any engine work, and the
     summary's ratio maxima also cover the records already in the file.
     A config that enumerates no parameters raises ValueError before
@@ -447,8 +448,8 @@ def _klopsch_lev_n(n: int) -> dict:
     subgroup pZ/nZ (p prime) is skipped; every other C generates Z/nZ,
     and as 0 ∈ C, hC = (h+1)C = hC + C would make hC a union of cosets
     of that group.  So hC grows strictly until it is all of Z/nZ, and a
-    stall is a bug.  The growth needs no seen-set of states; the residue
-    engine's driver, which keeps one, ran 2.1-2.8x slower here.
+    stall is a bug.  The growth runs on ``orders._cover``, the covering
+    driver of the residue engine, with s = C and D = C.
 
     Each C is checked once per orbit under dilation.  For a unit u mod n,
     x ↦ u·x is an automorphism of Z/nZ that fixes 0.  It keeps |C|, the
@@ -464,7 +465,6 @@ def _klopsch_lev_n(n: int) -> dict:
     all subsets.  The maximum of |C| * rho / 2n needs no weight.  The
     marks take 2^(n-1) bytes.
     """
-    full = (1 << n) - 1
     prime_masks = [sum(1 << v for v in range(0, n, p))
                    for p in range(2, n + 1)
                    if n % p == 0 and all(p % q for q in range(2, p))]
@@ -489,16 +489,7 @@ def _klopsch_lev_n(n: int) -> dict:
         half = seen.find(0, half + 1)
         if any(c & ~pm == 0 for pm in prime_masks):
             continue  # trapped in a proper subgroup: not a basis
-        s = c
-        shifts = c & (c - 1)  # bit 0 contributes s itself
-        rho = 1
-        while s != full:
-            grown = _rotate_into(s, s, shifts, n, full)
-            if grown == s:
-                raise InternalInconsistency(
-                    f"h-fold sums of a generating set of Z/{n}Z stalled")
-            s = grown
-            rho += 1
+        rho = 1 + _cover(c, c & (c - 1), n, n)  # bit 0 of c is 0 ∈ C
         bases += orbit
         size = c.bit_count()
         if size * rho >= 2 * n:

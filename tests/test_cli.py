@@ -170,6 +170,19 @@ class TestUsageErrors:
         assert code == 1 and err.startswith("usage error:")
         assert repr(field) in err
 
+    @pytest.mark.parametrize("command", ["order", "verify"])
+    @pytest.mark.parametrize("h_cap", ["0", "-5"])
+    def test_cap_below_one(self, tmp_path, capsys, command, h_cap):
+        _, out, _ = run_cli(capsys, "construct", "cubic",
+                               "--d", "1", "--k", "2")
+        inst = json.loads(out)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(inst["A"] if command == "order" else inst))
+        assert run_cli(capsys, command, str(path))[0] == 0
+        code, _, err = run_cli(capsys, command, str(path), "--h-cap", h_cap)
+        assert code == 1 and err.startswith("usage error:")
+        assert "h_cap" in err
+
     @pytest.mark.parametrize("field,value", [
         ("h_cap", "64"), ("h_cap", True), ("ranges", [1, 2]), ("out", 5),
         ("resume", "no"), ("parallelism", 2.5),

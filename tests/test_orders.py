@@ -5,14 +5,17 @@ from hypothesis import given, settings
 
 from addbasis import (
     EventuallyPeriodicSet,
+    InternalInconsistency,
     NotABasisCertificate,
     OrderCapExceeded,
     RemovalInstance,
     cubic_family_instance,
+    delta,
     order,
     quadratic_family_instance,
     verify_instance,
 )
+from addbasis import orders
 from conftest import naive_cyclic_order, periodic_sets
 
 EPS = EventuallyPeriodicSet
@@ -64,6 +67,26 @@ class TestOrder:
     def test_cap_exceeded(self):
         with pytest.raises(OrderCapExceeded):
             order(EPS.from_periodic(8, {1, 4}), h_cap=6)
+
+    @pytest.mark.parametrize("method", ["residue", "bitset"])
+    @pytest.mark.parametrize("h_cap", [0, -5])
+    def test_cap_below_one_is_refused(self, method, h_cap):
+        with pytest.raises(ValueError, match="h_cap"):
+            order(EPS.naturals(), h_cap=h_cap, method=method)
+
+    def test_stalled_growth_is_a_bug(self, monkeypatch):
+        # the set generates Z/8Z, so its residue sums can stall short of
+        # the group only through a fault in the kernel
+        monkeypatch.setattr(orders, "_rotate_into", lambda acc, *_: acc)
+        with pytest.raises(InternalInconsistency, match="stalled"):
+            order(EPS.from_periodic(8, {1, 4}))
+
+    @given(periodic_sets(allow_finite=False))
+    @settings(max_examples=200, deadline=None)
+    def test_proven_cap_suffices(self, s):
+        # R + kD grows strictly from |R| classes, so G(A) <= n - |R| + 1
+        if delta(s) == 1:
+            order(s, h_cap=s.modulus - len(s.residues) + 1)
 
     def test_witness_threshold_is_valid(self):
         for method in ("residue", "bitset"):

@@ -19,7 +19,7 @@ from addbasis import (
     read_records,
     run_sweep,
 )
-from addbasis import sweeps
+from addbasis import orders, sweeps
 from conftest import naive_cyclic_order
 
 
@@ -174,6 +174,13 @@ class TestTwoResidueSweep:
         assert summary.violations == 0
         assert all(r["g"] <= 2 for r in read_records(out))
 
+    def test_bug_trap_aborts_the_sweep(self, monkeypatch):
+        # a stalled covering driver is a bug, not an ineligible instance,
+        # so it must not turn into an error row
+        monkeypatch.setattr(orders, "_rotate_into", lambda acc, *_: acc)
+        with pytest.raises(InternalInconsistency, match="stalled"):
+            exhaustive_two_residue_sweep(4)
+
     def test_all_recorded_pairs_are_removable_bases(self, tmp_path):
         from math import gcd
         out = tmp_path / "two.jsonl"
@@ -321,7 +328,7 @@ class TestKlopschLevExhaustive:
     def test_stalled_growth_is_a_bug(self, monkeypatch):
         # every enumerated subset generates Z/nZ, so its h-fold sums can
         # stall short of the group only through a fault in the kernel
-        monkeypatch.setattr(sweeps, "_rotate_into", lambda acc, *_: acc)
+        monkeypatch.setattr(orders, "_rotate_into", lambda acc, *_: acc)
         with pytest.raises(InternalInconsistency, match="stalled"):
             sweeps._klopsch_lev_n(6)
 
