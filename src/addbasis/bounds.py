@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
 
-from .errors import BoundViolation, NoQualifyingDivisor, ZeroDensity
+from .errors import (BoundViolation, NoQualifyingDivisor, NotASubset,
+                     ZeroDensity)
 from .invariants import (InstanceInvariants, instance_invariants,
                          rational_to_json)
 from .orders import DEFAULT_H_CAP, order
@@ -50,10 +50,10 @@ class RemovalInstance:
 
     def __post_init__(self):
         x = as_finite_set(self.x)
-        missing = [e for e in x if e not in self.a]
-        if missing:
-            raise ValueError(f"X must be a subset of A; missing {missing}")
-        rest = self.a.remove_finite(x)
+        try:
+            rest = self.a.remove_finite(x)
+        except NotASubset as exc:
+            raise ValueError(f"X must be a subset of A; {exc}") from None
         if rest.is_finite:
             raise ValueError("A \\ X must be infinite")
         object.__setattr__(self, "x", x)
@@ -148,13 +148,10 @@ def quadratic_family_orders(h: int, mu: int) -> tuple[int, int]:
 # bound evaluators (right-hand sides)
 
 def removal_bound_d(h: int, d: int | Fraction) -> int | Fraction:
-    """h(h+3)/2 + d * h(h-1)(h+4)/6, exact.
-
-    Integer for integer d (both numerators are divisible by their
-    denominators); an exact rational otherwise, compared rationally.
-    """
-    val = Fraction(h * (h + 3), 2) + Fraction(d) * Fraction(
-        h * (h - 1) * (h + 4), 6)
+    """h(h+3)/2 + d * h(h-1)(h+4)/6, exact: both quotients are integers,
+    so an int d is computed in integers; a rational d gives an exact
+    rational (an int when integral)."""
+    val = h * (h + 3) // 2 + d * (h * (h - 1) * (h + 4) // 6)
     return int(val) if val.denominator == 1 else val
 
 
@@ -178,7 +175,7 @@ def plagne_bounds(h: int) -> tuple[int, int]:
     """Single-element-removal extremal order window:
     floor(h(h+4)/3) <= X(h) <= h(h+1)/2 + ceil((h-1)/3)."""
     lower = h * (h + 4) // 3
-    upper = h * (h + 1) // 2 + ceil(Fraction(h - 1, 3))
+    upper = h * (h + 1) // 2 + (h + 1) // 3  # ceil((h-1)/3)
     return lower, upper
 
 
@@ -195,12 +192,11 @@ def klopsch_lev_rhs(n: int, rho: int) -> int:
 
 
 def density_order_bound(s: EventuallyPeriodicSet) -> int:
-    """floor(4 / lower_density(s)): order bound for any asymptotic basis
-    of positive lower density."""
-    dens = s.lower_density()
-    if dens == 0:
+    """floor(4 / lower_density(s)) = floor(4n / |R|): order bound for any
+    asymptotic basis of positive lower density."""
+    if not s.residues:
         raise ZeroDensity("set has zero lower density")
-    return floor(4 / dens)
+    return 4 * s.modulus // len(s.residues)
 
 
 # ----------------------------------------------------------------------

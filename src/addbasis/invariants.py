@@ -4,7 +4,13 @@ For a finite set X of integers:
 
     delta(X)  gcd of all pairwise differences
     diam(X)   max(X) - min(X)
-    d(X)      diam(X) / delta(X), an exact rational
+    d(X)      diam(X) / delta(X), an integer: delta(X) divides diam(X)
+
+For an infinite eventually periodic S with finite part F, modulus n and
+tail residues R, delta(S) = gcd(n, c - c0 for c in F ∪ R) with c0 in R:
+the tail holds some x and x + n, so delta(S) divides n, the class mod n
+of an element fixes it mod delta(S), and each class of F ∪ R holds an
+element.  That takes O(|F| + |R|) work and no prefix of S.
 
 For an infinite set A containing X:
 
@@ -13,8 +19,8 @@ For an infinite set A containing X:
 
 Both eta and mu are infima over infinite sets, but the gap structure of an
 eventually periodic tail repeats with its modulus, so a finite scan window
-suffices; the windows used here are property-tested against 10x-larger
-brute-force scans.
+suffices.  ``_eta`` proves its window; both windows are property-tested
+against 10x-larger brute-force scans.
 """
 
 from __future__ import annotations
@@ -30,34 +36,29 @@ from .errors import EmptyComplement, NoQualifyingPair, TooFewElements
 from .periodic import EventuallyPeriodicSet, as_finite_set
 
 
-def rational_to_json(x: int | Fraction) -> int | str:
-    """Exact JSON encoding, parsed back by ``Fraction``: plain int when
-    integral, "p/q" otherwise."""
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _element_window(s: EventuallyPeriodicSet, extra: int = 0) -> list[int]:
-    """Prefix of s long enough to expose the full periodic gap structure.
-
-    Covers the finite part plus two whole periods of the tail (so every
-    residue appears at least twice), extended by ``extra``.
-    """
-    return s.prefix(s.threshold + 2 * s.modulus + extra)
+def rational_to_json(p: int | Fraction, q: int = 1) -> int | str:
+    """Exact JSON encoding of the rational p/q (an int p when q > 1),
+    parsed back by ``Fraction``: a plain int when it is integral, "num/den"
+    in lowest terms otherwise."""
+    if q == 1:
+        p, q = p.numerator, p.denominator
+    else:
+        g = gcd(p, q)
+        p, q = p // g, q // g
+    return p if q == 1 else f"{p}/{q}"
 
 
 def delta(s: EventuallyPeriodicSet | Iterable[int]) -> int:
-    """Gcd of all pairwise differences.
-
-    For an eventually periodic set with a nonempty tail the prefix window
-    already contains x and x + modulus for every tail residue, so the gcd
-    over the window equals the gcd over the whole (infinite) set.
-    """
+    """Gcd of all pairwise differences; for an infinite set, the residue
+    formula of the module docstring."""
     if isinstance(s, EventuallyPeriodicSet):
-        elems = _element_window(s)
+        if s.residues:
+            c0 = min(s.residues)
+            cs = (*s.finite_part, *s.residues)
+            return reduce(gcd, (c - c0 for c in cs), s.modulus)
+        elems = s.finite_part
     else:
-        elems = list(as_finite_set(s))
+        elems = as_finite_set(s)
     if len(elems) < 2:
         raise TooFewElements("delta needs at least two elements")
     return reduce(gcd, (b - a for a, b in zip(elems, elems[1:])))
@@ -69,31 +70,37 @@ def diam(xs: Iterable[int]) -> int:
     return elems[-1] - elems[0]
 
 
-def d_of(xs: Iterable[int]) -> Fraction:
-    """diam(X) / delta(X) as an exact rational (integer for an AP)."""
+def d_of(xs: Iterable[int]) -> int:
+    """diam(X) / delta(X), an integer."""
     elems = as_finite_set(xs)
     if len(elems) < 2:
         raise TooFewElements("d(X) needs at least two elements")
-    return Fraction(elems[-1] - elems[0], delta(elems))
+    return (elems[-1] - elems[0]) // delta(elems)
 
 
 def eta_with_witness(a: EventuallyPeriodicSet,
                      xs: Iterable[int]) -> tuple[int, tuple[int, int]]:
-    """eta(A, X) together with a minimising pair (smallest such pair).
-
-    The minimum over all of A \\ X is attained inside the window
-    [0, T + 2n + diam(X)]: a qualifying far-out pair can be shifted down
-    whole periods until its lower endpoint is the first tail element in
-    its residue class, which lands both endpoints inside the window.
-    """
+    """eta(A, X) together with a minimising pair (smallest such pair),
+    found in the window that :func:`_eta` proves sufficient."""
     x = as_finite_set(xs)
     return _eta(a.remove_finite(x), x)
 
 
 def _eta(rest: EventuallyPeriodicSet,
          x: tuple[int, ...]) -> tuple[int, tuple[int, int]]:
+    """eta over the window [0, T + 2n + D] of rest = A \\ X, with T its
+    threshold, n its modulus and D = diam(X).
+
+    With D' = max(D, 1) and next(y) the least element of rest >= y, eta
+    is the least next(a + D') - a over a in rest.  Let a be the least
+    minimiser.  If a >= T + n, rest is n-periodic on [a - n, infinity),
+    so a - n is a minimiser too; hence a < T + n.  Every n consecutive
+    integers from T on meet the tail, so next(a + D') <= max(a + D', T)
+    + n - 1 <= T + 2n + D.  The window is a whole prefix of rest, so the
+    scan finds that pair, and every pair it reports is a pair of rest.
+    """
     gap_floor = x[-1] - x[0]
-    elems = _element_window(rest, extra=gap_floor)
+    elems = rest.prefix(rest.threshold + 2 * rest.modulus + gap_floor)
     best: tuple[int, int, int] | None = None
     for i, lo in enumerate(elems):
         j = bisect_left(elems, lo + max(gap_floor, 1), i + 1)
@@ -155,7 +162,7 @@ class InstanceInvariants:
 
     delta_x: int
     diam_x: int
-    d_x: Fraction
+    d_x: int
     eta: int
     mu: int
     eta_witness: tuple[int, int]
@@ -186,7 +193,7 @@ def instance_invariants(a: EventuallyPeriodicSet, xs: Iterable[int],
         rest = a.remove_finite(x)
     diam_x = x[-1] - x[0]
     dx = delta(x) if len(x) >= 2 else 1
-    d_val = Fraction(diam_x, dx)
+    d_val = diam_x // dx
     eta_val, eta_wit = _eta(rest, x)
     mu_val, mu_wit = _mu(rest, x)
     return InstanceInvariants(

@@ -95,8 +95,9 @@ def order(a: EventuallyPeriodicSet, h_cap: int = DEFAULT_H_CAP,
     ``method`` names the engine, ``"residue"`` or ``"bitset"``; both give
     the same order.  Raises NotABasisCertificate when the set is provably
     not a basis (finite set, or gcd of differences > 1), OrderCapExceeded
-    when h_cap is reached without a decision, and ValueError for an
-    unknown method or h_cap < 1.
+    when no h <= h_cap works, and ValueError for an unknown method or
+    h_cap < 1.  The residue engine ends within n - |R| cover steps, as
+    G(A) <= n - |R| + 1, so h_cap binds it only below n - |R| + 1.
     """
     if method not in ("residue", "bitset"):
         raise ValueError(f"unknown method {method!r}")

@@ -36,12 +36,18 @@ from typing import Iterable
 from .errors import EmptyOperand, InternalInconsistency, NotASubset
 
 
+class _FiniteSet(tuple):
+    """A tuple that :func:`as_finite_set` has validated, for good."""
+
+
 def as_finite_set(xs: Iterable[int]) -> tuple[int, ...]:
     """Validate and freeze a finite set of non-negative integers.
 
     Accepts any iterable; returns the sorted, duplicate-free tuple.
     Raises ValueError on negatives, non-integers, or an empty input.
     """
+    if type(xs) is _FiniteSet:
+        return xs
     out = sorted(set(xs))
     if not out:
         raise ValueError("finite set must be nonempty")
@@ -50,7 +56,7 @@ def as_finite_set(xs: Iterable[int]) -> tuple[int, ...]:
             raise ValueError(f"finite set elements must be ints, got {x!r}")
         if x < 0:
             raise ValueError(f"finite set elements must be >= 0, got {x}")
-    return tuple(out)
+    return _FiniteSet(out)
 
 
 def _json_field(obj, key: str, default: int | list):
@@ -104,6 +110,12 @@ class EventuallyPeriodicSet:
     residues: frozenset[int]
 
     def __post_init__(self):
+        self._canonicalize(find_period=True)
+
+    def _canonicalize(self, find_period: bool) -> None:
+        """Check the fields, then rewrite them in place into the canonical
+        form while the value is being constructed.  A tail taken from a
+        canonical set has its minimal period: only find it if asked."""
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
         if self.threshold < 0:
@@ -117,20 +129,16 @@ class EventuallyPeriodicSet:
             if x < 0 or x >= self.threshold:
                 raise ValueError("finite part elements must lie in [0, threshold)")
             prev = x
-        self._canonicalize()
-
-    def _canonicalize(self) -> None:
-        """Rewrite the fields in place into the canonical form; runs once,
-        while the value is being constructed."""
         finite, res = self.finite_part, self.residues
         if not res:
             t, m = (finite[-1] + 1 if finite else 0), 1
         else:
-            n = self.modulus
-            m = next(m for m in _divisors(n)
-                     if all((r + m) % n in res for r in res))
-            if m < n:
-                res = frozenset(r % m for r in res)
+            n = m = self.modulus
+            if find_period:
+                m = next(m for m in _divisors(n)
+                         if all((r + m) % n in res for r in res))
+                if m < n:
+                    res = frozenset(r % m for r in res)
             # lower the threshold as far as the periodic description stays
             # true; finite[:i] are the finite elements below t
             t, i = self.threshold, len(finite)
@@ -144,6 +152,14 @@ class EventuallyPeriodicSet:
         for name, value in (("finite_part", finite), ("threshold", t),
                             ("modulus", m), ("residues", res)):
             object.__setattr__(self, name, value)
+
+    def _with_prefix(self, finite, t: int) -> "EventuallyPeriodicSet":
+        """``finite`` below t and this set's tail from t on, canonical."""
+        out = object.__new__(EventuallyPeriodicSet)
+        out.__dict__.update(finite_part=finite, threshold=t,
+                            modulus=self.modulus, residues=self.residues)
+        out._canonicalize(find_period=False)
+        return out
 
     # ------------------------------------------------------------------
     # constructors
@@ -329,14 +345,14 @@ class EventuallyPeriodicSet:
         t = max(self.threshold, removed[-1] + 1)
         gone = set(removed)
         finite = tuple(x for x in self.prefix(t - 1) if x not in gone)
-        return EventuallyPeriodicSet(finite, t, self.modulus, self.residues)
+        return self._with_prefix(finite, t)
 
     def adjoin(self, xs: Iterable[int]) -> "EventuallyPeriodicSet":
         """Canonical representation of S ∪ X for a finite X."""
         extra = as_finite_set(xs)
         t = max(self.threshold, extra[-1] + 1)
-        finite = tuple(sorted(set(self.prefix(t - 1)) | set(extra)))
-        return EventuallyPeriodicSet(finite, t, self.modulus, self.residues)
+        finite = tuple(sorted(set(self.prefix(t - 1)).union(extra)))
+        return self._with_prefix(finite, t)
 
     # ------------------------------------------------------------------
     # predicates and invariants

@@ -35,7 +35,7 @@ from .errors import (BoundViolation, InternalInconsistency,
                      PersistenceError, ToolkitError)
 from .invariants import rational_to_json
 from .orders import DEFAULT_H_CAP, _cover
-from .periodic import EventuallyPeriodicSet, _json_field
+from .periodic import EventuallyPeriodicSet, _json_field, as_finite_set
 
 FAMILIES = ("cubic", "quadratic", "two_residue")
 
@@ -111,12 +111,8 @@ class SweepSummary:
     def absorb_ratios(self, record: dict) -> None:
         """Fold a record row's ratio_d and ratio_mu into the maxima."""
         if record["ratio_d"] is not None:
-            ratio_d = Fraction(record["ratio_d"])
-            if self.max_ratio_d is None or ratio_d > self.max_ratio_d:
-                self.max_ratio_d = ratio_d
-        ratio_mu = Fraction(record["ratio_mu"])
-        if self.max_ratio_mu is None or ratio_mu > self.max_ratio_mu:
-            self.max_ratio_mu = ratio_mu
+            self.max_ratio_d = _max_ratio(self.max_ratio_d, record["ratio_d"])
+        self.max_ratio_mu = _max_ratio(self.max_ratio_mu, record["ratio_mu"])
 
     def to_json(self) -> dict:
         return {
@@ -131,6 +127,19 @@ class SweepSummary:
         }
 
 
+def _max_ratio(best: Fraction | None, encoded) -> Fraction:
+    """The larger of ``best`` and an encoded ratio, an int or "p/q" with
+    q > 0 (else ValueError), compared in integers."""
+    p, q = (encoded, 1) if type(encoded) is int else (0, 0)
+    if isinstance(encoded, str):
+        p, q = map(int, encoded.split("/"))  # ValueError unless "p/q"
+    if q <= 0:
+        raise ValueError(f"not an encoded ratio: {encoded!r}")
+    if best is None or p * best.denominator > best.numerator * q:
+        return Fraction(p, q)
+    return best
+
+
 def record_key(family: str, params: dict) -> str:
     return json.dumps({"family": family, "params": params},
                       sort_keys=True, separators=(",", ":"))
@@ -143,8 +152,6 @@ def make_record(family: str, params: dict, report: BoundReport,
     """
     inv = report.invariants
     h, g = report.h, report.g
-    ratio_d = (Fraction(g) / (inv.d_x * h**3)) if inv.d_x > 0 else None
-    ratio_mu = Fraction(g, inv.mu * h * h)
     return {
         "kind": "record",
         "family": family,
@@ -157,8 +164,8 @@ def make_record(family: str, params: dict, report: BoundReport,
         "d": rational_to_json(inv.d_x),
         "eta": inv.eta,
         "mu": inv.mu,
-        "ratio_d": None if ratio_d is None else rational_to_json(ratio_d),
-        "ratio_mu": rational_to_json(ratio_mu),
+        "ratio_d": rational_to_json(g, inv.d_x * h**3) if inv.d_x else None,
+        "ratio_mu": rational_to_json(g, inv.mu * h * h),
         "engine_version": ENGINE_VERSION,
     }
 
@@ -196,7 +203,8 @@ def _build_instance(family: str, params: dict) -> RemovalInstance:
     if family == "quadratic":
         return quadratic_family_instance(params["h"], params["mu"])
     if family == "two_residue":
-        n, a, b, x = params["n"], params["a"], params["b"], tuple(params["x"])
+        n, a, b = params["n"], params["a"], params["b"]
+        x = as_finite_set(params["x"])
         core = EventuallyPeriodicSet.from_periodic(n, (a, b))
         return RemovalInstance(core.adjoin(x), x,
                                f"two_residue(n={n},a={a},b={b},"
@@ -261,25 +269,26 @@ def _two_residue_params(n: int) -> Iterator[dict]:
 # ----------------------------------------------------------------------
 # persistence and the sweep driver
 
-def _read_existing(path: Path, cfg: SweepConfig) -> list[dict]:
-    """Record and error rows already present in a sweep file, after
-    validating its header.
+def _read_existing(path: Path, cfg: SweepConfig,
+                   summary: SweepSummary) -> list[dict]:
+    """Record and error rows already in a sweep file, after checking its
+    header; the records' ratios are folded into ``summary``.
 
     A run killed mid-write leaves a final line without a newline; that
     partial row is dropped (truncated away, so appends stay well formed)
     and its tuple simply gets recomputed.  The file is truncated only
-    once its header and configuration hash have been accepted, so a file
-    that is refused stays as it was.
+    once its header, configuration hash and every row (of this family,
+    with params and ratios that decode) are accepted, so a file that is
+    refused stays as it was.
     """
     raw = path.read_bytes()
     cut = raw.rfind(b"\n") + 1 if not raw.endswith(b"\n") else len(raw)
-    lines = [line for line in raw[:cut].decode().splitlines() if line.strip()]
-    if not lines:
-        raise PersistenceError(f"{path}: missing sweep header")
     try:
-        header = json.loads(lines[0])
+        lines = [line for line in raw[:cut].decode().splitlines()
+                 if line.strip()]
+        header = json.loads(lines[0]) if lines else None
         rows = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bytes that are not UTF-8, or not JSON
         raise PersistenceError(f"{path}: corrupt sweep file: {exc}") from exc
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise PersistenceError(f"{path}: missing sweep header")
@@ -287,10 +296,23 @@ def _read_existing(path: Path, cfg: SweepConfig) -> list[dict]:
         raise PersistenceError(
             f"{path}: existing results were produced by a different "
             "configuration; refusing to resume")
+    for i, row in enumerate(rows, start=1):
+        try:
+            if not (isinstance(row, dict) and row.get("family") == cfg.family
+                    and row.get("kind") in ("record", "error")
+                    and isinstance(row["params"], dict)
+                    and (cfg.family != "two_residue"
+                         or type(row["params"].get("n")) is int)):
+                raise ValueError("not a row of this sweep")
+            if row["kind"] == "record":
+                summary.absorb_ratios(row)
+        except (KeyError, ValueError) as exc:
+            raise PersistenceError(
+                f"{path}: corrupt sweep file: row {i}: {exc!r}") from exc
     if cut < len(raw):
         with path.open("r+b") as fh:
             fh.truncate(cut)
-    return [row for row in rows if row.get("kind") in ("record", "error")]
+    return rows
 
 
 def run_sweep(cfg: SweepConfig) -> SweepSummary:
@@ -315,13 +337,11 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     out_fh = None
     if path is not None:
         if cfg.resume and path.exists() and path.stat().st_size > 0:
-            for row in _read_existing(path, cfg):
+            for row in _read_existing(path, cfg, summary):
                 p = row["params"]
                 task = {"n": p["n"]} if cfg.family == "two_residue" else p
                 done.setdefault(record_key(cfg.family, task), set()).add(
                     record_key(row["family"], p))
-                if row["kind"] == "record":
-                    summary.absorb_ratios(row)
             out_fh = path.open("a")
         else:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -2,8 +2,11 @@
 
 import json
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from addbasis import (
     EventuallyPeriodicSet,
@@ -24,7 +27,7 @@ from addbasis import (
     removal_bound_mu_improved,
     verify_instance,
 )
-from conftest import naive_h_fold_prefix
+from conftest import naive_h_fold_prefix, periodic_sets
 
 EPS = EventuallyPeriodicSet
 
@@ -133,6 +136,17 @@ class TestBoundFormulas:
         # h(h+3)/2 + d*h(h-1)(h+4)/6 at h = 3, d = 5/2: 9 + (5/2)*7 = 53/2
         assert removal_bound_d(3, Fraction(5, 2)) == Fraction(53, 2)
 
+    @given(st.integers(1, 300), st.integers(0, 60)
+           | st.fractions(0, 60, max_denominator=12))
+    def test_removal_bound_d_matches_the_fraction_formula(self, h, d):
+        # an int d takes the integer path; the value is an int exactly
+        # when it is integral
+        want = Fraction(h * (h + 3), 2) + Fraction(d) * Fraction(
+            h * (h - 1) * (h + 4), 6)
+        got = removal_bound_d(h, d)
+        assert got == want
+        assert isinstance(got, int) == (want.denominator == 1)
+
     def test_removal_bound_eta(self):
         assert removal_bound_eta(2, 2) == 9
         assert removal_bound_eta(4, 3) == 50
@@ -151,6 +165,9 @@ class TestBoundFormulas:
         assert plagne_bounds(3) == (7, 7)
         # floor(6*10/3) = 20; 21 + ceil(5/3) = 23
         assert plagne_bounds(6) == (20, 23)
+        for h in range(1, 200):
+            assert plagne_bounds(h)[1] == h * (h + 1) // 2 + ceil(
+                Fraction(h - 1, 3))
 
     def test_klopsch_lev_rhs(self):
         assert klopsch_lev_rhs(8, 7) == 2
@@ -165,6 +182,10 @@ class TestBoundFormulas:
         assert density_order_bound(EPS.from_periodic(5, {2, 4})) == 10
         assert density_order_bound(EPS.naturals()) == 4
         assert density_order_bound(EPS.from_periodic(3, {0})) == 12
+
+    @given(periodic_sets(allow_finite=False))
+    def test_density_order_bound_is_floor_of_four_over_density(self, s):
+        assert density_order_bound(s) == floor(4 / s.lower_density())
 
     def test_density_order_bound_rejects_finite(self):
         with pytest.raises(ZeroDensity):

@@ -108,6 +108,28 @@ class TestSweepCommand:
         assert payload["csv_rows"] == 2
         assert csv_path.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("ratio_mu", "1/0"), ("params", ...)])
+    def test_corrupt_row_on_resume_is_engine_error(self, tmp_path, capsys,
+                                                   field, value):
+        out = tmp_path / "two.jsonl"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "two_residue",
+                                   "ranges": {"n_max": 4}, "out": str(out),
+                                   "resume": True}))
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        lines = out.read_text().splitlines(keepends=True)
+        row = json.loads(lines[-1])
+        if value is ...:
+            del row[field]
+        else:
+            row[field] = value
+        out.write_text("".join(lines[:-1]) + json.dumps(row) + "\n")
+        before = out.read_bytes()
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and "corrupt sweep file" in err
+        assert out.read_bytes() == before
+
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "unheard-of"}))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addbasis import (
@@ -40,13 +40,21 @@ class TestDelta:
         with pytest.raises(TooFewElements):
             delta([5])
 
-    @given(periodic_sets(max_modulus=12, max_threshold=20, allow_finite=False))
-    @settings(max_examples=40, deadline=None)
+    @given(periodic_sets(max_modulus=12, max_threshold=20))
+    @example(EPS.from_periodic(6, {0}))  # the modulus alone gives 6
+    @example(EPS.from_parts([3], 4, 6, {0}))  # class 3 only in F: 3
+    @example(EPS.from_finite([3, 7, 15]))  # finite only: 4
+    @settings(max_examples=80, deadline=None)
     def test_window_matches_long_prefix(self, s):
+        # delta of a set with a tail comes from its residues, not a prefix
         from functools import reduce
         from math import gcd
         c = s.normalize()
         long = c.prefix(c.threshold + 12 * c.modulus)
+        if len(long) < 2:
+            with pytest.raises(TooFewElements):
+                delta(s)
+            return
         expect = reduce(gcd, (b - a for a, b in zip(long, long[1:])))
         assert delta(s) == expect
 
@@ -119,12 +127,16 @@ class TestWindowsAgainstBruteForce:
     @given(periodic_sets(max_modulus=12, max_threshold=18,
                          allow_finite=False),
            st.integers(0, 3), st.data())
+    # a wide gap: X = {0, 40}, and eta = 40 is the pair (58, 98) across
+    # the gap 58..84 of A \ X, past T + 2n = 93; data=None takes the
+    # first 1 + extra elements as X
+    @example(EPS.from_parts([0, 40, 58], 80, 7, {0, 1}), 1, None)
     @settings(max_examples=60, deadline=None)
     def test_eta_mu_windows_suffice(self, a, extra, data):
         c = a.normalize()
         pool = c.prefix(c.threshold + 2 * c.modulus)
         size = min(1 + extra, len(pool))
-        x = tuple(sorted(data.draw(
+        x = tuple(pool[:size]) if data is None else tuple(sorted(data.draw(
             st.sets(st.sampled_from(pool), min_size=size, max_size=size))))
         if c.remove_finite(x).is_finite:
             return

@@ -311,6 +311,22 @@ class TestRemoveAndAdjoin:
             return
         assert s.adjoin(fresh).remove_finite(fresh) == s.normalize()
 
+    @given(periodic_sets(max_modulus=12, max_threshold=20),
+           st.sets(st.integers(0, 40), min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_same_tail_results_match_a_full_rebuild(self, s, xs):
+        # adjoin and remove_finite keep the tail and skip the search for
+        # its minimal period; from_parts runs every step
+        t = max(s.threshold, max(xs) + 1)
+        assert s.adjoin(xs) == EPS.from_parts(
+            set(s.prefix(t - 1)) | xs, t, s.modulus, s.residues)
+        inside = [x for x in xs if x in s]
+        if inside:
+            t = max(s.threshold, max(inside) + 1)
+            assert s.remove_finite(inside) == EPS.from_parts(
+                [y for y in s.prefix(t - 1) if y not in xs], t, s.modulus,
+                s.residues)
+
 
 class TestPrefix:
     def test_tail_prefix(self):

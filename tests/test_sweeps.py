@@ -5,14 +5,17 @@ import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from addbasis import (
     InternalInconsistency,
     PersistenceError,
     SweepConfig,
+    SweepSummary,
     exhaustive_two_residue_sweep,
     export_csv,
     klopsch_lev_exhaustive,
@@ -20,6 +23,7 @@ from addbasis import (
     run_sweep,
 )
 from addbasis import orders, sweeps
+from addbasis.invariants import rational_to_json
 from conftest import naive_cyclic_order
 
 
@@ -30,6 +34,15 @@ def _rows(path):
 
 def _stripped(rows):
     return [{k: v for k, v in row.items() if k != "ts"} for row in rows]
+
+
+def _encoded(f):
+    """The JSON encoding of a Fraction: an int, or "p/q" in lowest terms."""
+    return f.numerator if f.denominator == 1 else \
+        f"{f.numerator}/{f.denominator}"
+
+
+_fractions = st.fractions(0, 50, max_denominator=400)
 
 
 class TestRunSweep:
@@ -47,22 +60,33 @@ class TestRunSweep:
         assert [r["h_nominal"] for r in records] == [6, 9, 12]
 
     def test_ratio_fields_are_consistent(self, tmp_path):
-        out = tmp_path / "quad.jsonl"
-        cfg = SweepConfig("quadratic", {"h": [2, 3], "mu": [2]}, out=str(out))
-        run_sweep(cfg)
-        for rec in read_records(out):
-            h, g = rec["h"], rec["g"]
-            d = Fraction(rec["d"]) if isinstance(rec["d"], int) else \
-                Fraction(*map(int, rec["d"].split("/")))
-            mu = rec["mu"]
-            if d > 0:
-                num, den = (rec["ratio_d"].split("/") + ["1"])[:2] \
-                    if isinstance(rec["ratio_d"], str) else (rec["ratio_d"], 1)
-                assert Fraction(int(num), int(den)) == Fraction(g) / (d * h**3)
-            rm = rec["ratio_mu"]
-            rm = Fraction(rm) if isinstance(rm, int) else \
-                Fraction(*map(int, rm.split("/")))
-            assert rm == Fraction(g, mu * h * h)
+        # each ratio is the lowest-terms encoding of its Fraction
+        quad, two = tmp_path / "quad.jsonl", tmp_path / "two.jsonl"
+        run_sweep(SweepConfig("quadratic", {"h": [2, 3], "mu": [2]},
+                              out=str(quad)))
+        exhaustive_two_residue_sweep(7, out=str(two))
+        for rec in chain(read_records(quad), read_records(two)):
+            h, g, d, mu = rec["h"], rec["g"], Fraction(rec["d"]), rec["mu"]
+            assert rec["ratio_d"] == (
+                _encoded(Fraction(g) / (d * h**3)) if d > 0 else None)
+            assert rec["ratio_mu"] == _encoded(Fraction(g, mu * h * h))
+
+    @given(st.integers(0, 10**6), st.integers(1, 10**6))
+    def test_pair_encoding_matches_fraction(self, p, q):
+        assert rational_to_json(p, q) == _encoded(Fraction(p, q))
+
+    @given(st.lists(st.tuples(st.none() | _fractions, _fractions),
+                    min_size=1, max_size=12))
+    def test_maxima_match_fraction_max(self, ratios):
+        # compared in integers, including encodings not in lowest terms
+        summary = SweepSummary()
+        for d, m in ratios:
+            summary.absorb_ratios({
+                "ratio_d": None if d is None else _encoded(d),
+                "ratio_mu": f"{2 * m.numerator}/{2 * m.denominator}"})
+        ds = [d for d, _ in ratios if d is not None]
+        assert summary.max_ratio_d == (max(ds) if ds else None)
+        assert summary.max_ratio_mu == max(m for _, m in ratios)
 
     def test_resume_skips_existing(self, tmp_path):
         out = tmp_path / "s.jsonl"
@@ -224,6 +248,30 @@ class TestTwoResidueResume:
         assert resumed.max_ratio_d == fresh.max_ratio_d == max(
             Fraction(r["ratio_d"]) for r in records if r["ratio_d"] is not None)
         assert resumed.max_ratio_mu == fresh.max_ratio_mu
+
+    @pytest.mark.parametrize("field,value", [
+        ("ratio_mu", "1/0"), ("ratio_mu", None), ("ratio_d", "2/x"),
+        ("ratio_d", [1, 2]), ("params", ...), ("params", [5]),
+        ("kind", "header"), ("family", "cubic"), (None, b"\xff")])
+    def test_corrupt_row_is_refused_before_truncation(self, tmp_path,
+                                                      field, value):
+        out = tmp_path / "two.jsonl"
+        exhaustive_two_residue_sweep(5, out=str(out))
+        lines = out.read_bytes().splitlines(keepends=True)
+        if field is None:  # a row whose bytes are not UTF-8
+            lines[2] = value + b"\n"
+        else:
+            row = json.loads(lines[2])
+            if value is ...:
+                del row[field]
+            else:
+                row[field] = value
+            lines[2] = json.dumps(row).encode() + b"\n"
+        out.write_bytes(b"".join(lines)[:-9])  # and a torn final row
+        before = out.read_bytes()
+        with pytest.raises(PersistenceError, match="corrupt sweep file"):
+            exhaustive_two_residue_sweep(5, out=str(out), resume=True)
+        assert out.read_bytes() == before
 
     def test_refused_resume_leaves_the_file_untouched(self, tmp_path):
         out = tmp_path / "two.jsonl"
