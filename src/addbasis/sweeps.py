@@ -458,55 +458,79 @@ def _dilation_tables(n: int) -> list[tuple[int, list[tuple[int, ...]]]]:
     return tables
 
 
+def _affine_orbits(n: int) -> Iterator[tuple[int, int]]:
+    """Yield (c, weight) for one subset of Z/nZ that contains 0 per
+    affine orbit: c is its mask (bit x marks x, so bit 0 is set), and
+    weight is the number of subsets in the orbit that contain 0.  The
+    proof is in ``_klopsch_lev_n``.  The marks take 2^(n-1) bytes.
+    """
+    tables = _dilation_tables(n)
+    half_mask = (1 << (n - 1)) - 1
+    seen = bytearray(1 << (n - 1))  # indexed by c >> 1
+    half = 0
+    while half >= 0:
+        weight = 0
+        for image in (half, *map(sum, zip(*[table[(half >> shift) & 255]
+                                             for shift, table in tables]))):
+            m = (image << 1) | 1  # uC
+            twice = m | (m << n)  # bits e to e + n - 1 are uC - e
+            while m:
+                low = m & -m  # 1 << e for an element e of uC
+                rot = (twice >> low.bit_length()) & half_mask  # (uC - e) >> 1
+                if not seen[rot]:
+                    seen[rot] = 1
+                    weight += 1
+                m ^= low
+        yield (half << 1) | 1, weight
+        half = seen.find(0, half + 1)
+
+
 def _klopsch_lev_n(n: int) -> dict:
     """Check every basis of Z/nZ that contains 0 against the divisor
     bound and the product inequality |C| * rho < 2n.
 
-    Both the order and the checked inequalities are invariant under
-    translation, so only subsets C containing 0 are enumerated (each
-    orbit of a basis under translation contains one).  C inside a proper
-    subgroup pZ/nZ (p prime) is skipped; every other C generates Z/nZ,
-    and as 0 ∈ C, hC = (h+1)C = hC + C would make hC a union of cosets
-    of that group.  So hC grows strictly until it is all of Z/nZ, and a
-    stall is a bug.  The growth runs on ``orders._cover``, the covering
-    driver of the residue engine, with s = C and D = C.
+    C inside a proper subgroup pZ/nZ (p prime) is skipped; every other
+    C ∋ 0 generates Z/nZ, and as 0 ∈ C, hC = (h+1)C = hC + C would make
+    hC a union of cosets of that group.  So hC grows strictly until it
+    is all of Z/nZ, and a stall is a bug.  The growth runs on
+    ``orders._cover``, the covering driver of the residue engine, with
+    s = C and D = C.
 
-    Each C is checked once per orbit under dilation.  For a unit u mod n,
-    x ↦ u·x is an automorphism of Z/nZ that fixes 0.  It keeps |C|, the
-    membership of 0 and the subgroup generated, and h(uC) = u(hC), so
-    uC covers Z/nZ at exactly the h at which C does: C and uC have the
-    same rho, and both inequalities hold on one exactly when they hold
-    on the other.  The first subset of an orbit {uC : u a unit} that the
-    enumeration reaches is its representative; it marks the orbit's
-    other members, which are then skipped.  No member is marked before
-    that, so the members it marks, plus itself, are the orbit's distinct
-    sets uC.  Their number is its orbit weight, and the base count and
-    both violation counts add that weight, so they equal the counts over
-    all subsets.  The maximum of |C| * rho / 2n needs no weight.  The
-    marks take 2^(n-1) bytes.
+    Each C is checked once per orbit under the affine maps
+    x ↦ u(x - t), u a unit mod n.  Such a map is a bijection, so it
+    keeps |C|; it maps h-fold sums to h-fold sums, h(u(C - t)) =
+    u(hC) - uht, so u(C - t) covers Z/nZ at exactly the h at which C
+    does.  C and its image thus have the same rho, and both inequalities
+    hold on one exactly when they hold on the other.  It also keeps
+    being trapped in a proper subgroup: for C ∋ 0 and t ∈ C, C and
+    C - t generate the same group as C - C, and a unit maps each
+    subgroup of Z/nZ onto itself.
+
+    The members of C's orbit are the sets u(C - t) over all units u and
+    all t in Z/nZ, and u(C - t) contains 0 exactly when t ∈ C.  As
+    u(C - t) = uC - ut and t ↦ ut maps C onto uC, those members are the
+    sets uC - e over the units u and the elements e of uC: the dilated
+    images uC, from ``_dilation_tables``, each rotated by each of its own
+    elements.  The enumeration runs through the subsets C ∋ 0 in
+    increasing order, and the first one that is not marked represents its
+    orbit: it marks every member of the orbit that contains 0, itself
+    (u = 1, e = 0) included.  Orbits are disjoint and every mark stays in
+    its own orbit, so no member was marked before, and the number of sets
+    it newly marks is the number of members that contain 0.  That is the
+    orbit's weight.  The base count and both violation counts add it, so
+    they equal the counts over all subsets.  The maximum of
+    |C| * rho / 2n needs no weight.
     """
     prime_masks = [sum(1 << v for v in range(0, n, p))
                    for p in range(2, n + 1)
                    if n % p == 0 and all(p % q for q in range(2, p))]
     # a basis containing 0 has rho <= n - 1, and d = n qualifies for it
     rhs = [0, 0] + [klopsch_lev_rhs(n, rho) for rho in range(2, n)]
-    tables = _dilation_tables(n)
-    seen = bytearray(1 << (n - 1))  # indexed by c >> 1
     bases = 0
     viol_31 = 0
     viol_32 = 0
     best_num, best_den = 0, 1  # max of |C|*rho / 2n
-    half = 0
-    while half >= 0:
-        seen[half] = 1
-        orbit = 1
-        for image in map(sum, zip(*[table[(half >> shift) & 255]
-                                    for shift, table in tables])):
-            if not seen[image]:
-                seen[image] = 1
-                orbit += 1
-        c = (half << 1) | 1
-        half = seen.find(0, half + 1)
+    for c, orbit in _affine_orbits(n):
         if any(c & ~pm == 0 for pm in prime_masks):
             continue  # trapped in a proper subgroup: not a basis
         rho = 1 + _cover(c, c & (c - 1), n, n)  # bit 0 of c is 0 ∈ C

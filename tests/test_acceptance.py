@@ -198,9 +198,9 @@ def bases_containing_zero(n: int) -> int:
 def test_criterion_4_klopsch_lev_exhaustive(capsys):
     """Divisor bound and |C| * rho < 2n for every basis of Z/nZ that
     contains 0, n <= 24.  Each subset is checked once per orbit under
-    dilation by units and counted with its orbit's size.  Every subset
-    containing 0 that generates Z/nZ is a basis, so the count is a
-    Moebius sum."""
+    the affine maps x -> u(x - t), u a unit, and counted with the number
+    of sets in its orbit that contain 0.  Every subset containing 0 that
+    generates Z/nZ is a basis, so the count is a Moebius sum."""
     t0 = time.time()
     summary = klopsch_lev_exhaustive(24)
     expected = sum(bases_containing_zero(n) for n in range(1, 25))

@@ -140,7 +140,8 @@ class TestSweepCommand:
 class TestKlopschLevCommand:
     def test_small_run(self, capsys):
         # sha256 of the output of the enumeration over every subset,
-        # before it checked one subset per dilation orbit
+        # before it checked one subset per orbit; the n <= 20 digest is
+        # of the enumeration that checked one subset per dilation orbit
         for argv, digest in [
             (["--n-max", "12", "--parallelism", "2", "--json"],
              "217c457459c29fbf7280f47ef86dd878"
@@ -148,6 +149,9 @@ class TestKlopschLevCommand:
             (["--n-max", "16", "--parallelism", "2", "--json"],
              "6a1c7a7568ab07794ec77eb5fbd797f3"
              "d4a8bcfa7dabf26b0c2e06b70308ff2d"),
+            (["--n-max", "20", "--parallelism", "2", "--json"],
+             "6430d25dd4800ae50ac116bc435e307d"
+             "25c5e0e1bda590a464b654b8d8bf6e07"),
             (["--n-max", "10"],
              "312dbf725c3a7d280e6501a196a3845d"
              "75132e166d77e93c1efb8e45b557f037"),

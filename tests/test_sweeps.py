@@ -6,6 +6,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import chain, combinations
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -339,12 +340,32 @@ def _direct_cyclic_row(n):
 class TestKlopschLevExhaustive:
     def test_summary_matches_direct_enumeration(self):
         # independent route: every subset containing 0, one at a time,
-        # against the rows that are checked once per dilation orbit
+        # against the rows that are checked once per affine orbit
         summary = klopsch_lev_exhaustive(12)
         direct = [_direct_cyclic_row(n) for n in range(1, 13)]
         assert summary["per_n"] == direct
         assert summary["bases_checked"] == sum(r["bases"] for r in direct)
         assert summary["violations"] == 0
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_affine_orbits_cover_every_subset(self, n):
+        # subgroup-trapped orbits included: the members containing 0 of
+        # the yielded orbits, u(C - t) for the units u and t in C, are
+        # every subset containing 0, each once, and each weight counts them
+        units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+        orbits = list(sweeps._affine_orbits(n))
+        covered = set()
+        for c, weight in orbits:
+            assert c & 1
+            elems = [x for x in range(n) if c >> x & 1]
+            members = {sum(1 << (u * (x - t) % n) for x in elems)
+                       for u in units for t in elems}
+            assert weight == len(members)
+            assert covered.isdisjoint(members)
+            covered |= members
+        assert len({c for c, _ in orbits}) == len(orbits)
+        assert sum(weight for _, weight in orbits) == 2 ** (n - 1)
+        assert len(covered) == 2 ** (n - 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 11, 12])
     def test_orbit_weights_reach_the_divisor_count(self, monkeypatch, n):
