@@ -119,19 +119,10 @@ def _order_bitset(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:
     fold = s
     for h in range(1, h_cap + 1):
         if fold.is_cofinite():
-            return OrderResult(h, _cofinite_start(fold))
+            return OrderResult(h, fold.threshold)  # canonical, so least
         if h < h_cap:
             fold = fold.sumset(s)
     raise OrderCapExceeded(h_cap)
-
-
-def _cofinite_start(fold: EventuallyPeriodicSet) -> int:
-    # least W with [W, infinity) fully contained in the cofinite set
-    w = fold.threshold
-    present = set(fold.finite_part)
-    while w > 0 and (w - 1) in present:
-        w -= 1
-    return w
 
 
 def _order_residue(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:
@@ -145,7 +136,6 @@ def _order_residue(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:
     k = _cover(rmask, dmask & (dmask - 1), n, h_cap - 1)
     if k is None:
         raise OrderCapExceeded(h_cap)
-    top = max(s.finite_part[-1] if s.finite_part else 0, s.threshold)
     # valid witness: pick tail representatives in [T, T+n) and push the
     # surplus (a multiple of n) onto one of them
-    return OrderResult(k + 1, (k + 1) * (top + n))
+    return OrderResult(k + 1, (k + 1) * (s.threshold + n))

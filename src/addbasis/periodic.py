@@ -188,10 +188,6 @@ class EventuallyPeriodicSet:
         return cls.from_parts((), threshold, modulus, residues)
 
     @classmethod
-    def empty(cls) -> "EventuallyPeriodicSet":
-        return cls((), 0, 1, frozenset())
-
-    @classmethod
     def naturals(cls) -> "EventuallyPeriodicSet":
         return cls((), 0, 1, frozenset({0}))
 

@@ -3,10 +3,10 @@ exhaustive verification drives (two-residue families and cyclic bases).
 
 Sweep results are written as line-delimited JSON: one header line
 carrying a hash of the generating configuration, then one line per
-parameter tuple.  Records are keyed by (family, params), so re-running
-with ``resume`` skips tuples already present.  Record payloads are
-deterministic given the engine version; only the header timestamp varies
-between runs.
+instance, in enumeration order.  A file therefore holds the first
+instances of its enumeration, and re-running with ``resume`` skips that
+many.  Record payloads are deterministic given the engine version; only
+the timestamps vary between runs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .invariants import rational_to_json
 from .orders import DEFAULT_H_CAP, _cover
 from .periodic import EventuallyPeriodicSet, _json_field, as_finite_set
 
-FAMILIES = ("cubic", "quadratic", "two_residue")
+FAMILIES = {"cubic": {"d": [1], "k": [2]}, "quadratic": {"h": [2], "mu": [2]},
+            "two_residue": {"n_max": 12}}  # range axes and their defaults
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,12 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}")
+            raise ValueError(f"family must be one of {tuple(FAMILIES)}")
+        axes = list(FAMILIES[self.family])
+        unknown = sorted(set(self.ranges) - set(axes))
+        if unknown:
+            raise ValueError(f"{self.family} sweeps have no range axis "
+                             f"{unknown}; valid: {axes}")
         if self.h_cap < 1:
             raise ValueError("h_cap must be >= 1")
         if self.parallelism < 1:
@@ -140,11 +146,6 @@ def _max_ratio(best: Fraction | None, encoded) -> Fraction:
     return best
 
 
-def record_key(family: str, params: dict) -> str:
-    return json.dumps({"family": family, "params": params},
-                      sort_keys=True, separators=(",", ":"))
-
-
 def make_record(family: str, params: dict, report: BoundReport,
                 h_nominal: int | None) -> dict:
     """One sweep row.  Ratios use the computed order h = G(A); the
@@ -182,18 +183,17 @@ def _axis_values(axis) -> list[int]:
 
 def _family_tasks(cfg: SweepConfig) -> Iterator[tuple[dict, int | None]]:
     """Yield (params, h_nominal) for every tuple of the configured family."""
-    r = cfg.ranges
+    r = {**FAMILIES[cfg.family], **cfg.ranges}
     if cfg.family == "cubic":
-        for d in _axis_values(r.get("d", [1])):
-            for k in _axis_values(r.get("k", [2])):
+        for d in _axis_values(r["d"]):
+            for k in _axis_values(r["k"]):
                 yield {"d": d, "k": k}, 3 * k
     elif cfg.family == "quadratic":
-        for h in _axis_values(r.get("h", [2])):
-            for mu in _axis_values(r.get("mu", [2])):
+        for h in _axis_values(r["h"]):
+            for mu in _axis_values(r["mu"]):
                 yield {"h": h, "mu": mu}, h
     else:  # two_residue
-        n_max = r.get("n_max", 12)
-        for n in range(2, n_max + 1):
+        for n in range(2, r["n_max"] + 1):
             yield {"n": n}, None
 
 
@@ -213,17 +213,18 @@ def _build_instance(family: str, params: dict) -> RemovalInstance:
     raise ValueError(f"no single-instance builder for family {family!r}")
 
 
-def _run_family_task(args: tuple) -> tuple[list[dict], int]:
-    """Worker: the rows of one parameter tuple (of one n for two_residue)
-    whose keys are not in ``done``, and the number of keys it skipped."""
-    family, params, h_nominal, h_cap, done = args
-    if family == "two_residue":
-        cases = [(p, None) for p in _two_residue_params(params["n"])]
-    else:
-        cases = [(params, h_nominal)]
-    rows = [_verify_row(family, p, h_nom, h_cap) for p, h_nom in cases
-            if not done or record_key(family, p) not in done]
-    return rows, len(cases) - len(rows)
+def _task_params(family: str, params: dict) -> list[dict]:
+    """The params of one task's instances, in order: those of one n for
+    two_residue, else the task's own."""
+    return (list(_two_residue_params(params["n"]))
+            if family == "two_residue" else [params])
+
+
+def _run_family_task(args: tuple) -> list[dict]:
+    """Worker: the rows of one task's instances after the first ``skip``."""
+    family, params, h_nominal, h_cap, skip = args
+    return [_verify_row(family, p, h_nominal, h_cap)
+            for p in _task_params(family, params)[skip:]]
 
 
 def _verify_row(family: str, params: dict, h_nominal: int | None,
@@ -269,17 +270,23 @@ def _two_residue_params(n: int) -> Iterator[dict]:
 # ----------------------------------------------------------------------
 # persistence and the sweep driver
 
-def _read_existing(path: Path, cfg: SweepConfig,
-                   summary: SweepSummary) -> list[dict]:
-    """Record and error rows already in a sweep file, after checking its
-    header; the records' ratios are folded into ``summary``.
+def _read_existing(path: Path, cfg: SweepConfig, summary: SweepSummary,
+                   family_tasks: list) -> list[int]:
+    """How many instances of each task a sweep file already holds, after
+    checking its header; the records' ratios are folded into ``summary``.
+
+    A sweep writes one row per instance in enumeration order, and every
+    run appends, so a file it wrote holds the first instances of its
+    enumeration, in order.  The rows are therefore walked beside the
+    enumeration, and the first row that is not a record or error row of
+    this family with the next instance's params (a duplicated, reordered
+    or foreign row, or one past the last instance) is refused.
 
     A run killed mid-write leaves a final line without a newline; that
     partial row is dropped (truncated away, so appends stay well formed)
-    and its tuple simply gets recomputed.  The file is truncated only
-    once its header, configuration hash and every row (of this family,
-    with params and ratios that decode) are accepted, so a file that is
-    refused stays as it was.
+    and its instance simply gets recomputed.  The file is truncated only
+    once its header, configuration hash and every row (with ratios that
+    decode) are accepted, so a file that is refused stays as it was.
     """
     raw = path.read_bytes()
     cut = raw.rfind(b"\n") + 1 if not raw.endswith(b"\n") else len(raw)
@@ -296,23 +303,27 @@ def _read_existing(path: Path, cfg: SweepConfig,
         raise PersistenceError(
             f"{path}: existing results were produced by a different "
             "configuration; refusing to resume")
+    skips = [0] * len(family_tasks)
+    expected = ((task, p) for task, (params, _) in enumerate(family_tasks)
+                for p in _task_params(cfg.family, params))
     for i, row in enumerate(rows, start=1):
+        task, params = next(expected, (None, None))
         try:
             if not (isinstance(row, dict) and row.get("family") == cfg.family
                     and row.get("kind") in ("record", "error")
-                    and isinstance(row["params"], dict)
-                    and (cfg.family != "two_residue"
-                         or type(row["params"].get("n")) is int)):
-                raise ValueError("not a row of this sweep")
+                    and params is not None and row.get("params") == params):
+                raise ValueError(f"not the row of the next instance, "
+                                 f"{params!r}")
             if row["kind"] == "record":
                 summary.absorb_ratios(row)
         except (KeyError, ValueError) as exc:
             raise PersistenceError(
                 f"{path}: corrupt sweep file: row {i}: {exc!r}") from exc
+        skips[task] += 1
     if cut < len(raw):
         with path.open("r+b") as fh:
             fh.truncate(cut)
-    return rows
+    return skips
 
 
 def run_sweep(cfg: SweepConfig) -> SweepSummary:
@@ -320,12 +331,12 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
 
     Engine errors become error rows and never abort the sweep;
     BoundViolation and the bug trap InternalInconsistency are fatal.
-    Results are written in deterministic task order regardless of
-    parallelism.  On resume, instances whose keys are
-    already in the file are skipped before any engine work, and the
-    summary's ratio maxima also cover the records already in the file.
-    A config that enumerates no parameters raises ValueError before
-    ``out`` is opened.
+    Results are written in enumeration order regardless of parallelism.
+    On resume, the instances already in the file, a prefix of the
+    enumeration, are skipped before any engine work, and the summary's
+    ratio maxima also cover the records already in the file.  A config
+    that enumerates no parameters raises ValueError before ``out`` is
+    opened.
     """
     family_tasks = list(_family_tasks(cfg))
     if not family_tasks:
@@ -333,15 +344,12 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                          f"parameters: {cfg.ranges!r}")
     summary = SweepSummary()
     path = Path(cfg.out) if cfg.out else None
-    done: dict[str, set[str]] = {}  # keys already in the file, by task
+    skips = [0] * len(family_tasks)  # instances already in the file
     out_fh = None
     if path is not None:
         if cfg.resume and path.exists() and path.stat().st_size > 0:
-            for row in _read_existing(path, cfg, summary):
-                p = row["params"]
-                task = {"n": p["n"]} if cfg.family == "two_residue" else p
-                done.setdefault(record_key(cfg.family, task), set()).add(
-                    record_key(row["family"], p))
+            skips = _read_existing(path, cfg, summary, family_tasks)
+            summary.records_skipped = sum(skips)
             out_fh = path.open("a")
         else:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -352,12 +360,10 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                       "written_at": _utc_now()}
             out_fh.write(json.dumps(header, sort_keys=True) + "\n")
 
-    tasks = [(cfg.family, params, h_nominal, cfg.h_cap,
-              frozenset(done.get(record_key(cfg.family, params), ())))
-             for params, h_nominal in family_tasks]
+    tasks = [(cfg.family, params, h_nominal, cfg.h_cap, skip)
+             for (params, h_nominal), skip in zip(family_tasks, skips)]
     try:
-        for rows, skipped in _map(_run_family_task, tasks, cfg.parallelism):
-            summary.records_skipped += skipped
+        for rows in _map(_run_family_task, tasks, cfg.parallelism):
             _absorb_rows(rows, summary, out_fh)
     finally:
         if out_fh is not None:

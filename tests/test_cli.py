@@ -130,6 +130,33 @@ class TestSweepCommand:
         assert code == 2 and "corrupt sweep file" in err
         assert out.read_bytes() == before
 
+    @pytest.mark.parametrize("case", ["duplicated", "swapped", "foreign"])
+    def test_misplaced_row_on_resume_is_engine_error(self, tmp_path, capsys,
+                                                     case):
+        out = tmp_path / "two.jsonl"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "two_residue",
+                                   "ranges": {"n_max": 5}, "out": str(out),
+                                   "resume": True}))
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        lines = out.read_text().splitlines(keepends=True)
+        # a duplicated or swapped row in a prefix of the file, or a
+        # well-formed record of no instance of this sweep appended to it
+        if case == "duplicated":
+            lines = lines[:4] + [lines[3]]
+        elif case == "swapped":
+            lines = [lines[0], lines[2], lines[1]]
+        else:
+            row = json.loads(lines[-1])
+            row.update(params={"n": 5, "a": 0, "b": 1, "x": [0, 99]},
+                       ratio_mu=100)
+            lines.append(json.dumps(row) + "\n")
+        out.write_text("".join(lines))
+        before = out.read_bytes()
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and "corrupt sweep file" in err
+        assert out.read_bytes() == before
+
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "unheard-of"}))
@@ -249,6 +276,22 @@ class TestUsageErrors:
         code, stdout, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1 and err.startswith("usage error:")
         assert "enumerates no" in err and stdout == ""
+        assert out.read_text() == "earlier results\n"
+
+    @pytest.mark.parametrize("family,ranges", [
+        ("cubic", {"dd": [1, 2, 3], "K": [5]}),
+        ("two_residue", {"n_max": 3, "n": [9]})])
+    def test_unknown_range_axis(self, tmp_path, capsys, family, ranges):
+        # an axis the family lacks is refused before ``out`` is opened,
+        # not ignored in favour of the defaults
+        out = tmp_path / "kept.jsonl"
+        out.write_text("earlier results\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": family, "ranges": ranges,
+                                    "out": str(out)}))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 1 and err.startswith("usage error:")
+        assert "no range axis" in err and stdout == ""
         assert out.read_text() == "earlier results\n"
 
 

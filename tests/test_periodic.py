@@ -125,9 +125,9 @@ class TestSumset:
 
     def test_empty_operand_rejected(self):
         with pytest.raises(EmptyOperand):
-            EPS.empty() + EPS.naturals()
+            EPS.from_parts() + EPS.naturals()
         with pytest.raises(EmptyOperand):
-            EPS.naturals() + EPS.empty()
+            EPS.naturals() + EPS.from_parts()
 
     def test_finite_plus_finite(self):
         a = EPS.from_finite([1, 5])
@@ -333,7 +333,7 @@ class TestPrefix:
         assert EPS.from_periodic(8, {1, 4}).prefix(12) == [1, 4, 9, 12]
 
     def test_empty_set(self):
-        assert EPS.empty().prefix(100) == []
+        assert EPS.from_parts().prefix(100) == []
 
     def test_mixed_prefix(self):
         s = EPS.from_parts([0, 2], 3, 8, {1, 4})

@@ -101,6 +101,25 @@ class TestRunSweep:
         assert second.records_skipped == 2
         assert len(_rows(out)) == 3  # header + two records, no duplicates
 
+    def test_error_rows_count_toward_the_resume(self, tmp_path):
+        # h_cap 4 is below g = G(A ∖ X) of every instance, so each one
+        # becomes an error row, and a resume skips those as well
+        out = tmp_path / "capped.jsonl"
+        cfg = dict(family="cubic", ranges={"d": [1, 2], "k": [2, 3]},
+                   h_cap=4, out=str(out))
+        fresh = run_sweep(SweepConfig(**cfg))
+        rows = _rows(out)[1:]
+        assert [r["kind"] for r in rows] == ["error"] * 4
+        assert {r["error"] for r in rows} == {
+            "OrderCapExceeded: no order found for h <= 4"}
+        assert (fresh.errors, fresh.records_written) == (4, 0)
+        assert fresh.max_ratio_d is None and fresh.max_ratio_mu is None
+        out.write_bytes(out.read_bytes()[:-9])  # tear the last row
+        resumed = run_sweep(SweepConfig(**cfg, resume=True))
+        assert (resumed.errors, resumed.records_skipped,
+                resumed.records_written) == (1, 3, 0)
+        assert _stripped(_rows(out)[1:]) == _stripped(rows)
+
     def test_resume_rejects_other_config(self, tmp_path):
         out = tmp_path / "s.jsonl"
         run_sweep(SweepConfig("cubic", {"d": [1], "k": [2]}, out=str(out)))
@@ -312,10 +331,55 @@ class TestTwoResidueResume:
         assert len(verified) == resumed.records_written \
             == len(full) - len(kept)
         assert resumed.records_skipped == len(kept)
-        for _, params, _, _, done in shipped:
-            assert all(json.loads(k)["params"]["n"] == params["n"]
-                       for k in done)
+        # each task is shipped the number of its rows in the kept prefix
+        kept_n = [json.loads(line)["params"]["n"] for line in kept]
+        assert [skip for *_, skip in shipped] == \
+            [kept_n.count(params["n"]) for _, params, *_ in shipped]
         assert [r["params"] for r in read_records(out)] == full
+
+    def test_torn_half_resumes_to_the_golden_hash(self, tmp_path):
+        out = tmp_path / "two.jsonl"
+        exhaustive_two_residue_sweep(8, out=str(out))
+        _cut_in_half(out)
+        exhaustive_two_residue_sweep(8, out=str(out), resume=True)
+        rows = _stripped(_rows(out)[1:])
+        blob = "\n".join(json.dumps(r, sort_keys=True) for r in rows)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "712e53bd47f43067762958ade383a7b52993577d2b5a16655abce208212354fa")
+
+    @pytest.mark.parametrize("case", [
+        "duplicated", "swapped", "foreign", "foreign_appended",
+        "duplicated_last"])
+    def test_misplaced_row_is_refused_before_truncation(self, tmp_path, case):
+        # a file written by the sweep holds the first instances of its
+        # enumeration in order, so a row out of that order was not
+        # written by it, even with a well-formed record
+        out = tmp_path / "two.jsonl"
+        exhaustive_two_residue_sweep(5, out=str(out))
+        lines = out.read_bytes().splitlines(keepends=True)
+        foreign = json.loads(lines[3])
+        foreign.update(params={"n": 5, "a": 0, "b": 1, "x": [0, 99]},
+                       ratio_mu=100)
+        foreign = json.dumps(foreign, sort_keys=True).encode() + b"\n"
+        if case == "duplicated":
+            lines.insert(4, lines[3])
+        elif case == "swapped":
+            lines[3], lines[4] = lines[4], lines[3]
+        elif case == "foreign":
+            lines.insert(4, foreign)
+        elif case == "foreign_appended":
+            lines.append(foreign)
+        else:
+            lines.append(lines[-1])
+        if not case.endswith(("appended", "last")):
+            # keep a prefix, so that no row runs past the last instance
+            # and only the params give the misplaced row away
+            lines = lines[:8]
+        out.write_bytes(b"".join(lines) + lines[1][:20])  # and a torn row
+        before = out.read_bytes()
+        with pytest.raises(PersistenceError, match="corrupt sweep file"):
+            exhaustive_two_residue_sweep(5, out=str(out), resume=True)
+        assert out.read_bytes() == before
 
 
 def _direct_cyclic_row(n):
