@@ -28,7 +28,7 @@ from .invariants import (InstanceInvariants, instance_invariants,
                          rational_to_json)
 from .orders import DEFAULT_H_CAP, order
 from .periodic import (EventuallyPeriodicSet, _divisors, _json_field,
-                       as_finite_set)
+                       _json_keys, as_finite_set)
 
 
 # ----------------------------------------------------------------------
@@ -66,6 +66,7 @@ class RemovalInstance:
     def from_json(cls, obj: dict | str) -> "RemovalInstance":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        _json_keys(obj, ("A", "X", "label"), "instance has no field")
         x = _json_field(obj, "X", [])
         return cls(EventuallyPeriodicSet.from_json(obj["A"]), x,
                    obj.get("label", ""))
@@ -263,7 +264,7 @@ def verify_instance(inst: RemovalInstance,
     res_a = order(a, h_cap)
     res_rest = order(rest, h_cap)
     h, g = res_a.order, res_rest.order
-    inv = instance_invariants(a, x, rest)
+    inv = instance_invariants(inst)
 
     lower, upper = plagne_bounds(h)
     rhs_d = removal_bound_d(h, inv.d_x)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .bounds import (
     RemovalInstance,
@@ -31,7 +32,7 @@ USAGE_ERROR, ENGINE_ERROR, VIOLATION_ERROR = 1, 2, 3
 
 
 def _read_json_arg(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return json.loads(text)
 
 
@@ -56,8 +57,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_invariants(args) -> int:
     inst = RemovalInstance.from_json(_read_json_arg(args.instance))
-    inv = instance_invariants(inst.a, inst.x, inst.rest)
-    payload = inv.to_json()
+    payload = instance_invariants(inst).to_json()
     _emit(payload, args.json,
           [f"{key} = {val}" for key, val in payload.items()])
     return 0
@@ -91,13 +91,12 @@ def _cmd_construct(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(_read_json_arg(args.config))
-    summary = run_sweep(cfg)
-    payload = summary.to_json()
+    if args.csv and not cfg.out:
+        print("--csv requires a sweep config with an 'out' path",
+              file=sys.stderr)
+        return USAGE_ERROR
+    payload = run_sweep(cfg).to_json()
     if args.csv:
-        if not cfg.out:
-            print("--csv requires a sweep config with an 'out' path",
-                  file=sys.stderr)
-            return USAGE_ERROR
         payload["csv_rows"] = export_csv(cfg.out, args.csv)
     _emit(payload, args.json,
           [f"{key} = {val}" for key, val in payload.items()])

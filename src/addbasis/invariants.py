@@ -7,10 +7,11 @@ For a finite set X of integers:
     d(X)      diam(X) / delta(X), an integer: delta(X) divides diam(X)
 
 For an infinite eventually periodic S with finite part F, modulus n and
-tail residues R, delta(S) = gcd(n, c - c0 for c in F ∪ R) with c0 in R:
-the tail holds some x and x + n, so delta(S) divides n, the class mod n
-of an element fixes it mod delta(S), and each class of F ∪ R holds an
-element.  That takes O(|F| + |R|) work and no prefix of S.
+tail residues R, delta(S) = gcd(n, c - c0 for c in F ∪ R) for any c0 in
+F ∪ R: the tail holds some x and x + n, so delta(S) divides n, the class
+mod n of an element fixes it mod delta(S), and each class of F ∪ R holds
+an element.  That takes O(|F| + |R|) work and no prefix of S;
+``EventuallyPeriodicSet._residue_view`` computes it.
 
 For an infinite set A containing X:
 
@@ -28,12 +29,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import EmptyComplement, NoQualifyingPair, TooFewElements
 from .periodic import EventuallyPeriodicSet, as_finite_set
+
+if TYPE_CHECKING:
+    from .bounds import RemovalInstance
 
 
 def rational_to_json(p: int | Fraction, q: int = 1) -> int | str:
@@ -53,15 +56,13 @@ def delta(s: EventuallyPeriodicSet | Iterable[int]) -> int:
     formula of the module docstring."""
     if isinstance(s, EventuallyPeriodicSet):
         if s.residues:
-            c0 = min(s.residues)
-            cs = (*s.finite_part, *s.residues)
-            return reduce(gcd, (c - c0 for c in cs), s.modulus)
+            return s._residue_view()[2]
         elems = s.finite_part
     else:
         elems = as_finite_set(s)
     if len(elems) < 2:
         raise TooFewElements("delta needs at least two elements")
-    return reduce(gcd, (b - a for a, b in zip(elems, elems[1:])))
+    return gcd(*(b - a for a, b in zip(elems, elems[1:])))
 
 
 def diam(xs: Iterable[int]) -> int:
@@ -73,9 +74,7 @@ def diam(xs: Iterable[int]) -> int:
 def d_of(xs: Iterable[int]) -> int:
     """diam(X) / delta(X), an integer."""
     elems = as_finite_set(xs)
-    if len(elems) < 2:
-        raise TooFewElements("d(X) needs at least two elements")
-    return (elems[-1] - elems[0]) // delta(elems)
+    return (elems[-1] - elems[0]) // delta(elems)  # TooFewElements if < 2
 
 
 def eta_with_witness(a: EventuallyPeriodicSet,
@@ -136,11 +135,8 @@ def _mu(rest: EventuallyPeriodicSet, x: tuple[int, ...]) -> tuple[int, int]:
     if rest.is_empty:
         raise EmptyComplement("A \\ X is empty")
     window = x[-1] + (x[-1] - x[0]) + rest.modulus + 1
-    candidates = rest.prefix(window)
-    if not candidates:
-        candidates = [rest.min_element()]
     best_val, best_y = None, None
-    for y in candidates:
+    for y in rest.prefix(window) or [rest.min_element()]:
         val = max(x[-1], y) - min(x[0], y)
         if best_val is None or val < best_val:
             best_val, best_y = val, y
@@ -180,26 +176,17 @@ class InstanceInvariants:
         }
 
 
-def instance_invariants(a: EventuallyPeriodicSet, xs: Iterable[int],
-                        rest: EventuallyPeriodicSet | None = None
-                        ) -> InstanceInvariants:
-    """Compute every invariant of the pair (A, X) in one pass.
-
-    ``rest`` is A \\ X when the caller already holds it; it is then taken
-    as given, not recomputed or checked.
-    """
-    x = as_finite_set(xs)
-    if rest is None:
-        rest = a.remove_finite(x)
+def instance_invariants(inst: RemovalInstance) -> InstanceInvariants:
+    """Every invariant of the pair (A, X) of ``inst``, in one pass."""
+    x, rest = inst.x, inst.rest
     diam_x = x[-1] - x[0]
     dx = delta(x) if len(x) >= 2 else 1
-    d_val = diam_x // dx
     eta_val, eta_wit = _eta(rest, x)
     mu_val, mu_wit = _mu(rest, x)
     return InstanceInvariants(
         delta_x=dx,
         diam_x=diam_x,
-        d_x=d_val,
+        d_x=diam_x // dx,
         eta=eta_val,
         mu=mu_val,
         eta_witness=eta_wit,

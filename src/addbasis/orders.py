@@ -31,6 +31,7 @@ other in the test suite:
     it is Z/nZ: the sets R + kD grow strictly until they cover the
     group, and G(A) <= n - |R| + 1.  A stall is a bug.
 
+The set's ``_residue_view`` gives R, D for c0 = min C, and delta(A).
 ``_cover`` is the covering driver and ``_rotate_into`` its kernel.
 ``sweeps._klopsch_lev_n`` drives it too, growing C + kC for C ∋ 0.
 """
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 
 from .errors import (EmptyOperand, InternalInconsistency,
                      NotABasisCertificate, OrderCapExceeded)
-from .invariants import delta
 from .periodic import EventuallyPeriodicSet
 
 DEFAULT_H_CAP = 4096
@@ -107,12 +107,18 @@ def order(a: EventuallyPeriodicSet, h_cap: int = DEFAULT_H_CAP,
         raise EmptyOperand("order of the empty set is undefined")
     if a.is_finite:
         raise NotABasisCertificate("finite set")
-    g = delta(a)
+    rmask, dmask, g = a._residue_view()
     if g > 1:
         raise NotABasisCertificate(f"all differences divisible by {g}")
     if method == "bitset":
         return _order_bitset(a, h_cap)
-    return _order_residue(a, h_cap)
+    n = a.modulus
+    k = _cover(rmask, dmask & (dmask - 1), n, h_cap - 1)
+    if k is None:
+        raise OrderCapExceeded(h_cap)
+    # valid witness: pick tail representatives in [T, T+n) and push the
+    # surplus (a multiple of n) onto one of them
+    return OrderResult(k + 1, (k + 1) * (a.threshold + n))
 
 
 def _order_bitset(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:
@@ -123,19 +129,3 @@ def _order_bitset(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:
         if h < h_cap:
             fold = fold.sumset(s)
     raise OrderCapExceeded(h_cap)
-
-
-def _order_residue(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:
-    n = s.modulus
-    rmask = sum(1 << r for r in s.residues)
-    cmask = rmask
-    for f in s.finite_part:
-        cmask |= 1 << (f % n)
-    c0 = (cmask & -cmask).bit_length() - 1
-    dmask = ((cmask | cmask << n) >> c0) & ((1 << n) - 1)  # C - c0
-    k = _cover(rmask, dmask & (dmask - 1), n, h_cap - 1)
-    if k is None:
-        raise OrderCapExceeded(h_cap)
-    # valid witness: pick tail representatives in [T, T+n) and push the
-    # surplus (a multiple of n) onto one of them
-    return OrderResult(k + 1, (k + 1) * (s.threshold + n))

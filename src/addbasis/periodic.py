@@ -59,6 +59,13 @@ def as_finite_set(xs: Iterable[int]) -> tuple[int, ...]:
     return _FiniteSet(out)
 
 
+def _json_keys(obj, keys: Iterable[str], what: str) -> None:
+    """Refuse any key of ``obj`` outside ``keys``; ``what`` leads the error."""
+    unknown = sorted(set(obj) - set(keys)) if isinstance(obj, dict) else []
+    if unknown:
+        raise ValueError(f"{what} {unknown}; valid: {list(keys)}")
+
+
 def _json_field(obj, key: str, default: int | list):
     """``obj[key]`` (``default`` when absent) of a parsed JSON object,
     checked to have the default's type: an int or a list of ints."""
@@ -353,6 +360,17 @@ class EventuallyPeriodicSet:
     # ------------------------------------------------------------------
     # predicates and invariants
 
+    def _residue_view(self) -> tuple[int, int, int]:
+        """(R, D = C - min C, delta = gcd(n, D)) of an infinite set, R and D
+        as masks over Z/nZ, C = (F ∪ R) mod n; see :mod:`.invariants`."""
+        n = self.modulus
+        rmask = cmask = sum(1 << r for r in self.residues)
+        for f in self.finite_part:
+            cmask |= 1 << (f % n)
+        c0 = (cmask & -cmask).bit_length() - 1
+        dmask = ((cmask | cmask << n) >> c0) & ((1 << n) - 1)
+        return rmask, dmask, gcd(n, *_mask_bits(dmask))
+
     def is_cofinite(self) -> bool:
         """True iff N \\ S is finite (canonical tail covers every class)."""
         return self.modulus == 1 and bool(self.residues)
@@ -396,16 +414,14 @@ class EventuallyPeriodicSet:
 
     @classmethod
     def from_json(cls, obj: dict | str) -> "EventuallyPeriodicSet":
-        """Parse the interchange form; the result is canonicalized.  A
-        field of the wrong JSON type raises ValueError."""
+        """Parse the interchange form; the result is canonicalized.  An
+        unknown field, or one of the wrong JSON type, raises ValueError."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return cls.from_parts(
-            _json_field(obj, "finite", []),
-            _json_field(obj, "threshold", 0),
-            _json_field(obj, "modulus", 1),
-            _json_field(obj, "residues", []),
-        )
+        fields = {"finite": [], "threshold": 0, "modulus": 1, "residues": []}
+        _json_keys(obj, fields, "set has no field")
+        return cls.from_parts(*(_json_field(obj, k, v)
+                                for k, v in fields.items()))
 
     def __repr__(self) -> str:
         if self.is_finite:

@@ -17,6 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from operator import or_
 from pathlib import Path
@@ -35,7 +36,8 @@ from .errors import (BoundViolation, InternalInconsistency,
                      PersistenceError, ToolkitError)
 from .invariants import rational_to_json
 from .orders import DEFAULT_H_CAP, _cover
-from .periodic import EventuallyPeriodicSet, _json_field, as_finite_set
+from .periodic import (EventuallyPeriodicSet, _json_field, _json_keys,
+                       as_finite_set)
 
 FAMILIES = {"cubic": {"d": [1], "k": [2]}, "quadratic": {"h": [2], "mu": [2]},
             "two_residue": {"n_max": 12}}  # range axes and their defaults
@@ -53,11 +55,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {tuple(FAMILIES)}")
-        axes = list(FAMILIES[self.family])
-        unknown = sorted(set(self.ranges) - set(axes))
-        if unknown:
-            raise ValueError(f"{self.family} sweeps have no range axis "
-                             f"{unknown}; valid: {axes}")
+        _json_keys(self.ranges, FAMILIES[self.family],
+                   f"{self.family} sweeps have no range axis")
         if self.h_cap < 1:
             raise ValueError("h_cap must be >= 1")
         if self.parallelism < 1:
@@ -65,18 +64,20 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, obj: dict | str) -> "SweepConfig":
-        """Parse a config; a field of the wrong JSON type raises ValueError.
+        """Parse a config; an unknown or mistyped field raises ValueError.
         Range axes are ints (n_max), int lists or {"min": int, "max": int}."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError(f"sweep config must be an object, got {obj!r}")
+        _json_keys(obj, cls.__dataclass_fields__, "sweep config has no field")
         ranges = obj.get("ranges", {})
         if not isinstance(ranges, dict):
             raise ValueError(f"JSON field 'ranges' must be an object, "
                              f"got {ranges!r}")
         for name, axis in ranges.items():
             if name != "n_max" and isinstance(axis, dict):
+                _json_keys(axis, ("min", "max"), f"axis {name!r} has no key")
                 if any(type(axis.get(k)) is not int for k in ("min", "max")):
                     raise ValueError(f"range axis {name!r} must have int "
                                      f"'min' and 'max', got {axis!r}")
@@ -181,36 +182,30 @@ def _axis_values(axis) -> list[int]:
     return list(axis)
 
 
-def _family_tasks(cfg: SweepConfig) -> Iterator[tuple[dict, int | None]]:
-    """Yield (params, h_nominal) for every tuple of the configured family."""
-    r = {**FAMILIES[cfg.family], **cfg.ranges}
-    if cfg.family == "cubic":
-        for d in _axis_values(r["d"]):
-            for k in _axis_values(r["k"]):
-                yield {"d": d, "k": k}, 3 * k
-    elif cfg.family == "quadratic":
-        for h in _axis_values(r["h"]):
-            for mu in _axis_values(r["mu"]):
-                yield {"h": h, "mu": mu}, h
-    else:  # two_residue
-        for n in range(2, r["n_max"] + 1):
-            yield {"n": n}, None
+def _family_tasks(cfg: SweepConfig) -> list[dict]:
+    """The params of every task of the configured family, in order."""
+    r = {**FAMILIES[cfg.family], **cfg.ranges}  # in the order of FAMILIES
+    if cfg.family == "two_residue":
+        return [{"n": n} for n in range(2, r["n_max"] + 1)]
+    return [dict(zip(r, v)) for v in product(*map(_axis_values, r.values()))]
 
 
-def _build_instance(family: str, params: dict) -> RemovalInstance:
+def _build_instance(family: str,
+                    params: dict) -> tuple[RemovalInstance, int | None]:
+    """One instance of the family and its nominal order parameter, if the
+    family has one."""
     if family == "cubic":
-        return cubic_family_instance(params["d"], params["k"])
+        return cubic_family_instance(params["d"], params["k"]), 3 * params["k"]
     if family == "quadratic":
-        return quadratic_family_instance(params["h"], params["mu"])
-    if family == "two_residue":
-        n, a, b = params["n"], params["a"], params["b"]
-        x = as_finite_set(params["x"])
-        core = EventuallyPeriodicSet.from_periodic(n, (a, b))
-        return RemovalInstance(core.adjoin(x), x,
-                               f"two_residue(n={n},a={a},b={b},"
-                               f"s={x[1] - x[0] if len(x) > 1 else 0},"
-                               f"len={len(x)})")
-    raise ValueError(f"no single-instance builder for family {family!r}")
+        return (quadratic_family_instance(params["h"], params["mu"]),
+                params["h"])
+    n, a, b = params["n"], params["a"], params["b"]
+    x = as_finite_set(params["x"])
+    core = EventuallyPeriodicSet.from_periodic(n, (a, b))
+    return RemovalInstance(core.adjoin(x), x,
+                           f"two_residue(n={n},a={a},b={b},"
+                           f"s={x[1] - x[0] if len(x) > 1 else 0},"
+                           f"len={len(x)})"), None
 
 
 def _task_params(family: str, params: dict) -> list[dict]:
@@ -222,16 +217,16 @@ def _task_params(family: str, params: dict) -> list[dict]:
 
 def _run_family_task(args: tuple) -> list[dict]:
     """Worker: the rows of one task's instances after the first ``skip``."""
-    family, params, h_nominal, h_cap, skip = args
-    return [_verify_row(family, p, h_nominal, h_cap)
+    family, params, h_cap, skip = args
+    return [_verify_row(family, p, h_cap)
             for p in _task_params(family, params)[skip:]]
 
 
-def _verify_row(family: str, params: dict, h_nominal: int | None,
-                h_cap: int) -> dict:
+def _verify_row(family: str, params: dict, h_cap: int) -> dict:
     """The record row of one instance, or its error row."""
     try:
-        report = verify_instance(_build_instance(family, params), h_cap)
+        inst, h_nominal = _build_instance(family, params)
+        report = verify_instance(inst, h_cap)
     except (BoundViolation, InternalInconsistency):
         raise
     except ToolkitError as exc:
@@ -279,8 +274,9 @@ def _read_existing(path: Path, cfg: SweepConfig, summary: SweepSummary,
     run appends, so a file it wrote holds the first instances of its
     enumeration, in order.  The rows are therefore walked beside the
     enumeration, and the first row that is not a record or error row of
-    this family with the next instance's params (a duplicated, reordered
-    or foreign row, or one past the last instance) is refused.
+    this family with the next instance's params, compared with their JSON
+    types (a duplicated, reordered or foreign row, one past the last
+    instance, or params such as true for 1 or 2.0 for 2), is refused.
 
     A run killed mid-write leaves a final line without a newline; that
     partial row is dropped (truncated away, so appends stay well formed)
@@ -304,14 +300,14 @@ def _read_existing(path: Path, cfg: SweepConfig, summary: SweepSummary,
             f"{path}: existing results were produced by a different "
             "configuration; refusing to resume")
     skips = [0] * len(family_tasks)
-    expected = ((task, p) for task, (params, _) in enumerate(family_tasks)
+    expected = ((task, p) for task, params in enumerate(family_tasks)
                 for p in _task_params(cfg.family, params))
     for i, row in enumerate(rows, start=1):
         task, params = next(expected, (None, None))
         try:
             if not (isinstance(row, dict) and row.get("family") == cfg.family
                     and row.get("kind") in ("record", "error")
-                    and params is not None and row.get("params") == params):
+                    and _same_json(row.get("params"), params)):
                 raise ValueError(f"not the row of the next instance, "
                                  f"{params!r}")
             if row["kind"] == "record":
@@ -326,6 +322,15 @@ def _read_existing(path: Path, cfg: SweepConfig, summary: SweepSummary,
     return skips
 
 
+def _same_json(a, b) -> bool:
+    """a == b with the types compared too: JSON true is not 1, 2.0 not 2."""
+    if type(a) is dict and type(b) is dict and a.keys() == b.keys():
+        return all(_same_json(v, b[k]) for k, v in a.items())
+    if type(a) is list and type(b) is list and len(a) == len(b):
+        return all(map(_same_json, a, b))
+    return type(a) is type(b) and a == b
+
+
 def run_sweep(cfg: SweepConfig) -> SweepSummary:
     """Run the configured sweep, appending JSONL rows, and summarise.
 
@@ -338,7 +343,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     that enumerates no parameters raises ValueError before ``out`` is
     opened.
     """
-    family_tasks = list(_family_tasks(cfg))
+    family_tasks = _family_tasks(cfg)
     if not family_tasks:
         raise ValueError(f"sweep config enumerates no {cfg.family} "
                          f"parameters: {cfg.ranges!r}")
@@ -360,8 +365,8 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                       "written_at": _utc_now()}
             out_fh.write(json.dumps(header, sort_keys=True) + "\n")
 
-    tasks = [(cfg.family, params, h_nominal, cfg.h_cap, skip)
-             for (params, h_nominal), skip in zip(family_tasks, skips)]
+    tasks = [(cfg.family, params, cfg.h_cap, skip)
+             for params, skip in zip(family_tasks, skips)]
     try:
         for rows in _map(_run_family_task, tasks, cfg.parallelism):
             _absorb_rows(rows, summary, out_fh)

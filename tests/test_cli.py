@@ -157,6 +157,27 @@ class TestSweepCommand:
         assert code == 2 and "corrupt sweep file" in err
         assert out.read_bytes() == before
 
+    def test_resume_without_header_is_engine_error(self, tmp_path, capsys):
+        out = tmp_path / "two.jsonl"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "two_residue",
+                                   "ranges": {"n_max": 4}, "out": str(out),
+                                   "resume": True}))
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+        out.write_bytes(b"".join(out.read_bytes().splitlines(True)[1:]))
+        before = out.read_bytes()  # its first line is a row
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and "missing sweep header" in err
+        assert out.read_bytes() == before
+
+    def test_csv_without_out_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "cubic"}))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                                    "--csv", str(tmp_path / "r.csv"))
+        assert code == 1 and "'out'" in err and stdout == ""
+        assert not (tmp_path / "r.csv").exists()
+
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "unheard-of"}))
@@ -293,6 +314,43 @@ class TestUsageErrors:
         assert code == 1 and err.startswith("usage error:")
         assert "no range axis" in err and stdout == ""
         assert out.read_text() == "earlier results\n"
+
+    @pytest.mark.parametrize("command,payload,key", [
+        # a typo of "finite": read as the set without {0, 2}, of order 7
+        ("order", {"finit": [0, 2], "threshold": 3, "modulus": 8,
+                   "residues": [1, 4]}, "finit"),
+        ("verify", {"A": {"modulus": 2, "residues": [0, 1]}, "X": [0],
+                    "x": [1]}, "x"),
+        ("verify", {"A": {"modulus": 2, "residue": [0, 1]}, "X": [0]},
+         "residue")])
+    def test_unknown_set_or_instance_key(self, tmp_path, capsys, command,
+                                         payload, key):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        code, stdout, err = run_cli(capsys, command, str(path))
+        assert code == 1 and err.startswith("usage error:")
+        assert repr(key) in err and stdout == ""
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"resum": True}, "resum"),
+        ({"family": "cubic", "ranges": {"k": {"min": 2, "max": 4,
+                                              "step": 2}}}, "step")])
+    def test_unknown_config_key_keeps_the_results(self, tmp_path, capsys,
+                                                  extra, key):
+        # refused before ``out`` is opened: "resum" is not read as a fresh
+        # sweep that truncates the results
+        out = tmp_path / "r.jsonl"
+        cfg = {"family": "two_residue", "ranges": {"n_max": 4},
+               "out": str(out)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(capsys, "sweep", "--config", str(path))[0] == 0
+        before = out.read_bytes()
+        path.write_text(json.dumps({**cfg, **extra}))
+        code, stdout, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 1 and err.startswith("usage error:")
+        assert repr(key) in err and stdout == ""
+        assert out.read_bytes() == before
 
 
 class TestViolationExitCode:

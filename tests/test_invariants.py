@@ -7,8 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addbasis import (
+    EmptyComplement,
     EventuallyPeriodicSet,
+    NoQualifyingPair,
     NotASubset,
+    RemovalInstance,
     TooFewElements,
     d_of,
     delta,
@@ -101,6 +104,10 @@ class TestEta:
         with pytest.raises(NotASubset):
             eta(EPS.from_periodic(2, {0}), (1,))
 
+    def test_no_pair_when_x_is_all_of_a(self):
+        with pytest.raises(NoQualifyingPair):
+            eta(EPS.from_finite([0, 1, 3]), [0, 1, 3])
+
 
 class TestMu:
     def test_quadratic_family_value(self):
@@ -121,6 +128,10 @@ class TestMu:
         value, witness = mu_with_witness(a, (0,))
         assert witness == a.remove_finite([0]).min_element()
         assert value == witness
+
+    def test_empty_complement_when_x_is_all_of_a(self):
+        with pytest.raises(EmptyComplement):
+            mu(EPS.from_finite([0, 1, 3]), [0, 1, 3])
 
 
 class TestWindowsAgainstBruteForce:
@@ -148,7 +159,7 @@ class TestWindowsAgainstBruteForce:
 class TestInstanceInvariants:
     def test_full_report(self):
         a = EPS.from_periodic(8, {1, 4}).adjoin([0, 2])
-        inv = instance_invariants(a, (0, 2))
+        inv = instance_invariants(RemovalInstance(a, (0, 2), ""))
         assert (inv.delta_x, inv.diam_x, inv.d_x) == (2, 2, 1)
         assert (inv.eta, inv.mu) == (3, 2)
         assert inv.to_json() == {
@@ -158,7 +169,7 @@ class TestInstanceInvariants:
 
     def test_singleton_convention(self):
         a = EPS.naturals()
-        inv = instance_invariants(a, (0,))
+        inv = instance_invariants(RemovalInstance(a, (0,), ""))
         assert (inv.delta_x, inv.d_x, inv.diam_x) == (1, 0, 0)
         assert inv.eta == 1 and inv.mu == 1
 
@@ -173,8 +184,7 @@ class TestInstanceInvariants:
             st.sets(st.sampled_from(pool), min_size=size, max_size=size))))
         if c.remove_finite(x).is_finite:
             return
-        inv = instance_invariants(a, x)
-        assert instance_invariants(a, x, c.remove_finite(x)) == inv
+        inv = instance_invariants(RemovalInstance(a, x, ""))
         assert eta_with_witness(a, x) == (inv.eta, inv.eta_witness)
         assert mu_with_witness(a, x) == (inv.mu, inv.mu_witness)
         assert inv.eta >= inv.diam_x

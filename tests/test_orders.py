@@ -64,9 +64,13 @@ class TestOrder:
             order(EPS.from_periodic(2, {0}))
         assert "divisible by 2" in str(err.value)
 
-    def test_cap_exceeded(self):
+    @pytest.mark.parametrize("method", ["residue", "bitset"])
+    def test_cap_exceeded(self, method):
+        # G = 7: a cap of G - 1 is exceeded, a cap of G is enough
+        s = EPS.from_periodic(8, {1, 4})
         with pytest.raises(OrderCapExceeded):
-            order(EPS.from_periodic(8, {1, 4}), h_cap=6)
+            order(s, h_cap=6, method=method)
+        assert order(s, h_cap=7, method=method).order == 7
 
     @pytest.mark.parametrize("method", ["residue", "bitset"])
     @pytest.mark.parametrize("h_cap", [0, -5])

@@ -272,7 +272,11 @@ class TestTwoResidueResume:
     @pytest.mark.parametrize("field,value", [
         ("ratio_mu", "1/0"), ("ratio_mu", None), ("ratio_d", "2/x"),
         ("ratio_d", [1, 2]), ("params", ...), ("params", [5]),
-        ("kind", "header"), ("family", "cubic"), (None, b"\xff")])
+        ("kind", "header"), ("family", "cubic"), (None, b"\xff"),
+        # the row's own params, {"a": 0, "b": 1, "n": 2, "x": [0, 1]}, with
+        # JSON true for 1 and 2.0 for 2: equal in Python, not in JSON
+        ("params", {"a": 0, "b": True, "n": 2.0, "x": [0, 1]}),
+        ("params", {"a": 0, "b": 1, "n": 2, "x": [0, True]})])
     def test_corrupt_row_is_refused_before_truncation(self, tmp_path,
                                                       field, value):
         out = tmp_path / "two.jsonl"
