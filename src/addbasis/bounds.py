@@ -26,7 +26,7 @@ from .errors import (BoundViolation, NoQualifyingDivisor, NotASubset,
                      ZeroDensity)
 from .invariants import (InstanceInvariants, instance_invariants,
                          rational_to_json)
-from .orders import DEFAULT_H_CAP, order
+from .orders import DEFAULT_H_CAP, _memo_order, order
 from .periodic import (EventuallyPeriodicSet, _divisors, _json_field,
                        _json_keys, as_finite_set)
 
@@ -66,10 +66,17 @@ class RemovalInstance:
     def from_json(cls, obj: dict | str) -> "RemovalInstance":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError(f"instance must be an object, got {obj!r}")
         _json_keys(obj, ("A", "X", "label"), "instance has no field")
+        a, label = obj.get("A"), obj.get("label", "")
+        if not isinstance(a, dict):
+            raise ValueError(f"JSON field 'A' must be an object, got {a!r}")
+        if not isinstance(label, str):
+            raise ValueError(f"JSON field 'label' must be a string, "
+                             f"got {label!r}")
         x = _json_field(obj, "X", [])
-        return cls(EventuallyPeriodicSet.from_json(obj["A"]), x,
-                   obj.get("label", ""))
+        return cls(EventuallyPeriodicSet.from_json(a), x, label)
 
 
 def cubic_family_instance(d: int, k: int) -> RemovalInstance:
@@ -251,18 +258,23 @@ class BoundReport:
         }
 
 
-def verify_instance(inst: RemovalInstance,
-                    h_cap: int = DEFAULT_H_CAP) -> BoundReport:
+def verify_instance(inst: RemovalInstance, h_cap: int = DEFAULT_H_CAP,
+                    memo: dict | None = None) -> BoundReport:
     """Compute h = G(A), g = G(A \\ X) with the residue engine, all
     invariants and bound RHS values, and assert every applicable bound.
 
-    Raises BoundViolation on any failed inequality (a bug by definition)
-    and propagates engine errors (NotABasisCertificate, OrderCapExceeded)
-    for ineligible instances.
+    A sweep task passes one ``memo`` dict for all its instances, and
+    both orders then go through ``orders._memo_order``; without it, both
+    come from ``order``.  Raises BoundViolation on any failed inequality
+    (a bug by definition) and propagates engine errors
+    (NotABasisCertificate, OrderCapExceeded) for ineligible instances.
     """
     a, x, rest = inst.a, inst.x, inst.rest
-    res_a = order(a, h_cap)
-    res_rest = order(rest, h_cap)
+    if memo is None:
+        res_a, res_rest = order(a, h_cap), order(rest, h_cap)
+    else:
+        res_a = _memo_order(a, h_cap, memo)
+        res_rest = _memo_order(rest, h_cap, memo)
     h, g = res_a.order, res_rest.order
     inv = instance_invariants(inst)
 

@@ -34,6 +34,8 @@ other in the test suite:
 The set's ``_residue_view`` gives R, D for c0 = min C, and delta(A).
 ``_cover`` is the covering driver and ``_rotate_into`` its kernel.
 ``sweeps._klopsch_lev_n`` drives it too, growing C + kC for C ∋ 0.
+``_memo_order`` answers a set with two tail residues from a caller's
+memo keyed on ``_affine_key``, the class of (n, R, C) under affine maps.
 """
 
 from __future__ import annotations
@@ -119,6 +121,73 @@ def order(a: EventuallyPeriodicSet, h_cap: int = DEFAULT_H_CAP,
     # valid witness: pick tail representatives in [T, T+n) and push the
     # surplus (a multiple of n) onto one of them
     return OrderResult(k + 1, (k + 1) * (a.threshold + n))
+
+
+def _affine_key(a: EventuallyPeriodicSet) -> tuple[int, int] | None:
+    """A key that determines the residue engine's order, for a set whose
+    tail residues are R = {r1, r2} with r1 < r2 and r2 - r1 a unit mod n;
+    None for any other set.
+
+    With v = (r2 - r1)^-1 mod n, the maps x ↦ v(x - r1) and
+    x ↦ -v(x - r2) both send R to {0, 1}.  The key is n with the smaller
+    of the masks of the images of C = (F ∪ R) mod n under them.  Sound:
+    a map x ↦ ux + t with u a unit is a bijection of Z/nZ that carries
+    R + (h-1)C onto u(R + (h-1)C) + ht, so U_h covers Z/nZ exactly when
+    its image does, as ``sweeps._klopsch_lev_n`` proves for C alone.
+    Two sets with equal keys map onto the same ({0, 1}, C'), so they have
+    the same order.  Such a set has delta = 1, as r2 - r1 is a unit.
+    """
+    if len(a.residues) != 2:
+        return None
+    n = a.modulus
+    r1, r2 = sorted(a.residues)
+    try:
+        v = pow(r2 - r1, -1, n)
+    except ValueError:  # r2 - r1 is no unit mod n
+        return None
+    m1 = m2 = 0
+    for c in {r1, r2, *(f % n for f in a.finite_part)}:
+        m1 |= 1 << (c - r1) * v % n
+        m2 |= 1 << (r2 - c) * v % n
+    return n, min(m1, m2)
+
+
+# A key's hits 1, 1 + 17, 1 + 2*17, ... are recomputed.  The period is
+# odd: a wrong key that merged the orbits of each instance's A and A \ X
+# would be hit by the two in turn, and an even period samples only one.
+_CHECK_EVERY = 17
+
+
+def _memo_order(a: EventuallyPeriodicSet, h_cap: int,
+                memo: dict) -> OrderResult:
+    """``order(a, h_cap)`` through ``memo``, a dict that the caller owns,
+    from each ``_affine_key`` seen to [G - 1, hits].
+
+    A set without a key, or whose key is new, goes to ``order``.  A hit
+    rebuilds the result with the set's own witness (k + 1)(T + n), as
+    ``order`` does.  The first hit of each key, and every 17th after it,
+    is recomputed by ``order``; a mismatch raises InternalInconsistency.
+    """
+    key = _affine_key(a)
+    if key is None:
+        return order(a, h_cap)
+    entry = memo.get(key)
+    if entry is None:
+        res = order(a, h_cap)
+        memo[key] = [res.order - 1, 0]
+        return res
+    k, hits = entry
+    if k >= h_cap:
+        raise OrderCapExceeded(h_cap)
+    res = OrderResult(k + 1, (k + 1) * (a.threshold + a.modulus))
+    entry[1] = hits + 1
+    if hits % _CHECK_EVERY == 0:
+        fresh = order(a, h_cap)
+        if fresh != res:
+            raise InternalInconsistency(
+                f"order memo answered {res} for key {key}, the engine "
+                f"{fresh}")
+    return res
 
 
 def _order_bitset(s: EventuallyPeriodicSet, h_cap: int) -> OrderResult:

@@ -116,10 +116,18 @@ class SweepSummary:
     max_ratio_mu: Fraction | None = None
 
     def absorb_ratios(self, record: dict) -> None:
-        """Fold a record row's ratio_d and ratio_mu into the maxima."""
-        if record["ratio_d"] is not None:
-            self.max_ratio_d = _max_ratio(self.max_ratio_d, record["ratio_d"])
-        self.max_ratio_mu = _max_ratio(self.max_ratio_mu, record["ratio_mu"])
+        """Fold a read record row's encoded ratio_d and ratio_mu into the
+        maxima; a ratio that does not decode raises ValueError."""
+        d = record["ratio_d"]
+        self._fold(None if d is None else _parse_ratio(d),
+                   _parse_ratio(record["ratio_mu"]))
+
+    def _fold(self, ratio_d: tuple[int, int] | None,
+              ratio_mu: tuple[int, int]) -> None:
+        """Fold ratio_d = (p, q), if any, and ratio_mu into the maxima."""
+        if ratio_d is not None:
+            self.max_ratio_d = _max_ratio(self.max_ratio_d, *ratio_d)
+        self.max_ratio_mu = _max_ratio(self.max_ratio_mu, *ratio_mu)
 
     def to_json(self) -> dict:
         return {
@@ -134,14 +142,19 @@ class SweepSummary:
         }
 
 
-def _max_ratio(best: Fraction | None, encoded) -> Fraction:
-    """The larger of ``best`` and an encoded ratio, an int or "p/q" with
-    q > 0 (else ValueError), compared in integers."""
+def _parse_ratio(encoded) -> tuple[int, int]:
+    """(p, q) of an encoded ratio, an int or "p/q" with q > 0; anything
+    else raises ValueError."""
     p, q = (encoded, 1) if type(encoded) is int else (0, 0)
     if isinstance(encoded, str):
         p, q = map(int, encoded.split("/"))  # ValueError unless "p/q"
     if q <= 0:
         raise ValueError(f"not an encoded ratio: {encoded!r}")
+    return p, q
+
+
+def _max_ratio(best: Fraction | None, p: int, q: int) -> Fraction:
+    """The larger of ``best`` and p/q (q > 0), compared in integers."""
     if best is None or p * best.denominator > best.numerator * q:
         return Fraction(p, q)
     return best
@@ -190,10 +203,11 @@ def _family_tasks(cfg: SweepConfig) -> list[dict]:
     return [dict(zip(r, v)) for v in product(*map(_axis_values, r.values()))]
 
 
-def _build_instance(family: str,
-                    params: dict) -> tuple[RemovalInstance, int | None]:
+def _build_instance(family: str, params: dict,
+                    cores: dict) -> tuple[RemovalInstance, int | None]:
     """One instance of the family and its nominal order parameter, if the
-    family has one."""
+    family has one.  A two-residue core is built once per (n, a, b) and
+    kept in ``cores``, which the task's instances share."""
     if family == "cubic":
         return cubic_family_instance(params["d"], params["k"]), 3 * params["k"]
     if family == "quadratic":
@@ -201,7 +215,9 @@ def _build_instance(family: str,
                 params["h"])
     n, a, b = params["n"], params["a"], params["b"]
     x = as_finite_set(params["x"])
-    core = EventuallyPeriodicSet.from_periodic(n, (a, b))
+    core = cores.get((n, a, b))
+    if core is None:
+        core = cores[n, a, b] = EventuallyPeriodicSet.from_periodic(n, (a, b))
     return RemovalInstance(core.adjoin(x), x,
                            f"two_residue(n={n},a={a},b={b},"
                            f"s={x[1] - x[0] if len(x) > 1 else 0},"
@@ -216,17 +232,20 @@ def _task_params(family: str, params: dict) -> list[dict]:
 
 
 def _run_family_task(args: tuple) -> list[dict]:
-    """Worker: the rows of one task's instances after the first ``skip``."""
+    """Worker: the rows of one task's instances after the first ``skip``.
+    The instances share one order memo and their cores, both per task."""
     family, params, h_cap, skip = args
-    return [_verify_row(family, p, h_cap)
+    memo, cores = {}, {}
+    return [_verify_row(family, p, h_cap, memo, cores)
             for p in _task_params(family, params)[skip:]]
 
 
-def _verify_row(family: str, params: dict, h_cap: int) -> dict:
+def _verify_row(family: str, params: dict, h_cap: int, memo: dict,
+                cores: dict) -> dict:
     """The record row of one instance, or its error row."""
     try:
-        inst, h_nominal = _build_instance(family, params)
-        report = verify_instance(inst, h_cap)
+        inst, h_nominal = _build_instance(family, params, cores)
+        report = verify_instance(inst, h_cap, memo)
     except (BoundViolation, InternalInconsistency):
         raise
     except ToolkitError as exc:
@@ -392,7 +411,9 @@ def _absorb_rows(rows: list[dict], summary: SweepSummary, out_fh) -> None:
             summary.errors += 1
         else:
             summary.records_written += 1
-            summary.absorb_ratios(row)
+            g, h, d = row["g"], row["h"], row["d"]  # ints, not the encodings
+            summary._fold((g, d * h**3) if d else None,
+                          (g, row["mu"] * h * h))
         if out_fh is not None:
             stamped = dict(row)
             stamped["ts"] = _utc_now()

@@ -174,12 +174,18 @@ def test_criterion_3_theorem_hood_suite(capsys, tmp_path):
         h_cap=256, out=str(tmp_path / "quadratic.jsonl")))
     total = two.records_written + cubic.records_written + quad.records_written
     errors = two.errors + cubic.errors + quad.errors
+    # proven: A \ X lies in the core, so C = R = {a, b}, and R + kD with
+    # D = {0, b - a} is a progression of k + 2 classes, so G(A \ X) = n - 1
+    off = sum(rec["g"] != rec["params"]["n"] - 1
+              for rec in read_records(tmp_path / "two_residue.jsonl"))
     # the enumeration is deterministic, so pin its exact cardinality
     ok = errors == 0 and two.records_written == 598_839 \
-        and cubic.records_written == 9 and quad.records_written == 16
+        and cubic.records_written == 9 and quad.records_written == 16 \
+        and off == 0
     announce(capsys, 3, "theorem-hood over exhaustive sweeps", ok,
              f"{total} instances verified, 0 bound violations, "
-             f"{errors} engine errors", t0)
+             f"{errors} engine errors, {off} two-residue rows with "
+             f"G(A \\ X) != n - 1", t0)
     assert ok
 
 

@@ -244,6 +244,22 @@ class TestUsageErrors:
         assert code == 1 and err.startswith("usage error:")
         assert repr(field) in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("A", json.dumps({"modulus": 2, "residues": [0, 1]})),  # JSON text
+        ("A", 5), ("label", {"a": 1})])
+    def test_mistyped_instance_object_or_label(self, tmp_path, capsys,
+                                               field, value):
+        # "A" must be an object, not a string holding one, and "label" a
+        # string; each is refused naming its field
+        inst = {"A": {"modulus": 2, "residues": [0, 1]}, "X": [0],
+                "label": "N"}
+        inst[field] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst))
+        code, stdout, err = run_cli(capsys, "verify", str(path))
+        assert code == 1 and err.startswith("usage error:")
+        assert repr(field) in err and stdout == ""
+
     @pytest.mark.parametrize("command", ["order", "verify"])
     @pytest.mark.parametrize("h_cap", ["0", "-5"])
     def test_cap_below_one(self, tmp_path, capsys, command, h_cap):

@@ -1,5 +1,8 @@
 """Order computations: both engines, cyclic orders, removability."""
 
+from itertools import combinations
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 
@@ -235,3 +238,75 @@ class TestKlopschLevSmall:
                     assert size * rho < 2 * n
                     if rho >= 2:
                         assert size <= klopsch_lev_rhs(n, rho)
+
+
+def _two_residue_sets(n):
+    """One set per C ⊇ R = {a, b} in Z/nZ with b - a a unit: the tail
+    {x >= n : x mod n in R} and the classes of C outside R below n."""
+    for a in range(n):
+        for b in range(a + 1, n):
+            if gcd(b - a, n) != 1:
+                continue
+            others = [c for c in range(n) if c not in (a, b)]
+            for size in range(len(others) + 1):
+                for extra in combinations(others, size):
+                    yield EPS.from_parts(extra, n, n, (a, b))
+
+
+class TestAffineMemo:
+    def test_equal_keys_give_equal_orders(self):
+        orders_by_key = {}
+        sets = 0
+        for n in range(2, 10):
+            for s in _two_residue_sets(n):
+                key = orders._affine_key(s)
+                if n == 2:  # {0, 1} mod 2 is N: one tail residue, no key
+                    assert key is None
+                    continue
+                orders_by_key.setdefault(key, set()).add(order(s).order)
+                sets += 1
+        assert all(len(found) == 1 for found in orders_by_key.values())
+        assert len(orders_by_key) < sets  # the keys do merge sets
+
+    def test_key_is_kept_by_affine_maps(self):
+        # the key is a class of (n, R, C) under x ↦ ux + t, so the memo
+        # hits across a whole orbit
+        for n in range(3, 8):
+            units = [u for u in range(1, n) if gcd(u, n) == 1]
+            for s in _two_residue_sets(n):
+                c = {f % n for f in s.finite_part} | s.residues
+                for u in units:
+                    for t in range(n):
+                        image = EPS.from_parts(
+                            [(u * x + t) % n for x in c], n, n,
+                            [(u * r + t) % n for r in s.residues])
+                        assert orders._affine_key(image) == \
+                            orders._affine_key(s)
+
+    def test_sets_without_a_unit_pair_have_no_key(self):
+        assert orders._affine_key(EPS.from_periodic(5, {0, 1, 2})) is None
+        assert orders._affine_key(EPS.from_periodic(9, {0, 3})) is None
+        assert orders._affine_key(EPS.from_finite([1, 2])) is None
+
+    def test_hit_keeps_its_own_witness(self, monkeypatch):
+        # {1, 4} mod 8 from 0 and {3, 6} mod 8 from 4 share a key; the hit
+        # answers with the witness the engine gives the second set
+        first = EPS.from_periodic(8, {1, 4})
+        second = EPS.from_periodic(8, {3, 6}, threshold=5)
+        assert second.threshold == 4
+        assert orders._affine_key(first) == orders._affine_key(second)
+        calls, real_order = [], orders.order
+
+        def counting_order(*args):
+            calls.append(args)
+            return real_order(*args)
+
+        monkeypatch.setattr(orders, "order", counting_order)
+        memo = {}
+        assert orders._memo_order(first, 64, memo) == real_order(first)
+        for engine_calls in (2, 2):  # the first hit is recomputed
+            assert orders._memo_order(second, 64, memo) == \
+                real_order(second) != real_order(first)
+            assert len(calls) == engine_calls
+        with pytest.raises(OrderCapExceeded):
+            orders._memo_order(second, 6, memo)  # G = 7

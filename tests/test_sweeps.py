@@ -22,6 +22,7 @@ from addbasis import (
     klopsch_lev_exhaustive,
     read_records,
     run_sweep,
+    verify_instance,
 )
 from addbasis import orders, sweeps
 from addbasis.invariants import rational_to_json
@@ -224,6 +225,39 @@ class TestTwoResidueSweep:
         monkeypatch.setattr(orders, "_rotate_into", lambda acc, *_: acc)
         with pytest.raises(InternalInconsistency, match="stalled"):
             exhaustive_two_residue_sweep(4)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_memo_rows_equal_plain_verification(self, tmp_path,
+                                                parallelism):
+        # each task's order memo lives in its worker; every row must be
+        # the row of a verification without it
+        out = tmp_path / "two.jsonl"
+        summary = exhaustive_two_residue_sweep(12, out=str(out),
+                                               parallelism=parallelism)
+        rows = _stripped(_rows(out)[1:])
+        assert len(rows) == summary.records_written == 5359
+        for row in rows:
+            inst, h_nominal = sweeps._build_instance("two_residue",
+                                                     row["params"], {})
+            assert row == sweeps.make_record(
+                "two_residue", row["params"], verify_instance(inst),
+                h_nominal)
+        assert summary.max_ratio_d == summary.max_ratio_mu == 1
+
+    def test_removed_set_order_is_n_minus_1(self):
+        # A \ X lies in the core, so R = C = {a, b}, and R + kD with
+        # D = {0, b - a} is a progression of k + 2 classes: G = n - 1
+        for task in range(2, 13):
+            for row in sweeps._run_family_task(("two_residue", {"n": task},
+                                                64, 0)):
+                assert row["g"] == row["params"]["n"] - 1
+
+    def test_merged_orbits_are_caught(self, monkeypatch):
+        # a key that merges affine orbits answers with another set's
+        # order; the sampled recomputation must catch it
+        monkeypatch.setattr(orders, "_affine_key", lambda a: (0, 0))
+        with pytest.raises(InternalInconsistency, match="order memo"):
+            exhaustive_two_residue_sweep(8)
 
     def test_all_recorded_pairs_are_removable_bases(self, tmp_path):
         from math import gcd
