@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Iterable
 
@@ -37,18 +36,6 @@ from .periodic import EventuallyPeriodicSet, as_finite_set
 
 if TYPE_CHECKING:
     from .bounds import RemovalInstance
-
-
-def rational_to_json(p: int | Fraction, q: int = 1) -> int | str:
-    """Exact JSON encoding of the rational p/q (an int p when q > 1),
-    parsed back by ``Fraction``: a plain int when it is integral, "num/den"
-    in lowest terms otherwise."""
-    if q == 1:
-        p, q = p.numerator, p.denominator
-    else:
-        g = gcd(p, q)
-        p, q = p // g, q // g
-    return p if q == 1 else f"{p}/{q}"
 
 
 def delta(s: EventuallyPeriodicSet | Iterable[int]) -> int:
@@ -168,7 +155,7 @@ class InstanceInvariants:
         return {
             "delta": self.delta_x,
             "diam": self.diam_x,
-            "d": rational_to_json(self.d_x),
+            "d": self.d_x,
             "eta": self.eta,
             "mu": self.mu,
             "eta_witness": list(self.eta_witness),

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import islice, product
 from math import gcd
 from operator import or_
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import __version__ as ENGINE_VERSION
 from .bounds import (
@@ -34,7 +35,6 @@ from .bounds import (
 )
 from .errors import (BoundViolation, InternalInconsistency,
                      PersistenceError, ToolkitError)
-from .invariants import rational_to_json
 from .orders import DEFAULT_H_CAP, _cover
 from .periodic import (EventuallyPeriodicSet, _json_field, _json_keys,
                        as_finite_set)
@@ -112,52 +112,42 @@ class SweepSummary:
     records_skipped: int = 0
     errors: int = 0
     violations: int = 0
-    max_ratio_d: Fraction | None = None
-    max_ratio_mu: Fraction | None = None
+    max_ratio_d: tuple[int, int] | None = None  # (p, q) in lowest terms
+    max_ratio_mu: tuple[int, int] | None = None
 
-    def absorb_ratios(self, record: dict) -> None:
-        """Fold a read record row's encoded ratio_d and ratio_mu into the
-        maxima; a ratio that does not decode raises ValueError."""
-        d = record["ratio_d"]
-        self._fold(None if d is None else _parse_ratio(d),
-                   _parse_ratio(record["ratio_mu"]))
-
-    def _fold(self, ratio_d: tuple[int, int] | None,
-              ratio_mu: tuple[int, int]) -> None:
+    def _fold(self, ratio_d, ratio_mu) -> None:
         """Fold ratio_d = (p, q), if any, and ratio_mu into the maxima."""
         if ratio_d is not None:
-            self.max_ratio_d = _max_ratio(self.max_ratio_d, *ratio_d)
-        self.max_ratio_mu = _max_ratio(self.max_ratio_mu, *ratio_mu)
+            self.max_ratio_d = _max_ratio(self.max_ratio_d, ratio_d)
+        self.max_ratio_mu = _max_ratio(self.max_ratio_mu, ratio_mu)
 
     def to_json(self) -> dict:
-        return {
-            "records_written": self.records_written,
-            "records_skipped": self.records_skipped,
-            "errors": self.errors,
-            "violations": self.violations,
-            "max_ratio_d": None if self.max_ratio_d is None
-            else rational_to_json(self.max_ratio_d),
-            "max_ratio_mu": None if self.max_ratio_mu is None
-            else rational_to_json(self.max_ratio_mu),
-        }
+        return {key: rational_to_json(*v) if type(v) is tuple else v
+                for key, v in vars(self).items()}
 
 
-def _parse_ratio(encoded) -> tuple[int, int]:
-    """(p, q) of an encoded ratio, an int or "p/q" with q > 0; anything
-    else raises ValueError."""
-    p, q = (encoded, 1) if type(encoded) is int else (0, 0)
-    if isinstance(encoded, str):
-        p, q = map(int, encoded.split("/"))  # ValueError unless "p/q"
-    if q <= 0:
-        raise ValueError(f"not an encoded ratio: {encoded!r}")
-    return p, q
+def rational_to_json(p: int, q: int) -> int | str:
+    """Exact JSON encoding of p/q (q > 0): an int when it is integral,
+    "p/q" in lowest terms otherwise."""
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    return p if q == 1 else f"{p}/{q}"
 
 
-def _max_ratio(best: Fraction | None, p: int, q: int) -> Fraction:
-    """The larger of ``best`` and p/q (q > 0), compared in integers."""
-    if best is None or p * best.denominator > best.numerator * q:
-        return Fraction(p, q)
-    return best
+def _max_ratio(best, ratio) -> tuple[int, int]:
+    """The larger of the pair ``best``, if any, and ratio = (p, q), q > 0,
+    compared by cross-multiplication; a new maximum in lowest terms."""
+    p, q = ratio
+    if best is not None and p * best[1] <= best[0] * q:
+        return best
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def _ratios(g: int, h: int, d: int, mu: int) -> tuple:
+    """The ratios of a sweep row as int pairs (p, q): g/(d·h³), None when
+    d = 0, and g/(μ·h²)."""
+    return (g, d * h**3) if d else None, (g, mu * h * h)
 
 
 def make_record(family: str, params: dict, report: BoundReport,
@@ -167,6 +157,7 @@ def make_record(family: str, params: dict, report: BoundReport,
     """
     inv = report.invariants
     h, g = report.h, report.g
+    ratio_d, ratio_mu = _ratios(g, h, inv.d_x, inv.mu)
     return {
         "kind": "record",
         "family": family,
@@ -176,11 +167,11 @@ def make_record(family: str, params: dict, report: BoundReport,
         "h_nominal": h_nominal,
         "delta": inv.delta_x,
         "diam": inv.diam_x,
-        "d": rational_to_json(inv.d_x),
+        "d": inv.d_x,
         "eta": inv.eta,
         "mu": inv.mu,
-        "ratio_d": rational_to_json(g, inv.d_x * h**3) if inv.d_x else None,
-        "ratio_mu": rational_to_json(g, inv.mu * h * h),
+        "ratio_d": None if ratio_d is None else rational_to_json(*ratio_d),
+        "ratio_mu": rational_to_json(*ratio_mu),
         "engine_version": ENGINE_VERSION,
     }
 
@@ -224,10 +215,10 @@ def _build_instance(family: str, params: dict,
                            f"len={len(x)})"), None
 
 
-def _task_params(family: str, params: dict) -> list[dict]:
-    """The params of one task's instances, in order: those of one n for
-    two_residue, else the task's own."""
-    return (list(_two_residue_params(params["n"]))
+def _task_params(family: str, params: dict) -> Iterable[dict]:
+    """The params of one task's instances, in order and one at a time:
+    those of one n for two_residue, else the task's own."""
+    return (_two_residue_params(params["n"])
             if family == "two_residue" else [params])
 
 
@@ -237,7 +228,7 @@ def _run_family_task(args: tuple) -> list[dict]:
     family, params, h_cap, skip = args
     memo, cores = {}, {}
     return [_verify_row(family, p, h_cap, memo, cores)
-            for p in _task_params(family, params)[skip:]]
+            for p in islice(_task_params(family, params), skip, None)]
 
 
 def _verify_row(family: str, params: dict, h_cap: int, memo: dict,
@@ -284,6 +275,20 @@ def _two_residue_params(n: int) -> Iterator[dict]:
 # ----------------------------------------------------------------------
 # persistence and the sweep driver
 
+def _sweep_rows(path: Path) -> Iterator[tuple[int, object]]:
+    """(offset past the line, parsed row) for each complete non-blank line
+    of a sweep file, one at a time; a final line without a newline is a
+    torn write and is not yielded.  A line that is not UTF-8 JSON raises
+    ValueError."""
+    with path.open("rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                return
+            text = line.decode()
+            if text.strip():
+                yield fh.tell(), json.loads(text)
+
+
 def _read_existing(path: Path, cfg: SweepConfig, summary: SweepSummary,
                    family_tasks: list) -> list[int]:
     """How many instances of each task a sweep file already holds, after
@@ -295,50 +300,61 @@ def _read_existing(path: Path, cfg: SweepConfig, summary: SweepSummary,
     enumeration, and the first row that is not a record or error row of
     this family with the next instance's params, compared with their JSON
     types (a duplicated, reordered or foreign row, one past the last
-    instance, or params such as true for 1 or 2.0 for 2), is refused.
+    instance, or params such as true for 1 or 2.0 for 2), is refused, as
+    is a record whose ratios are not those of its own ints g, h, d, mu.
 
     A run killed mid-write leaves a final line without a newline; that
     partial row is dropped (truncated away, so appends stay well formed)
     and its instance simply gets recomputed.  The file is truncated only
-    once its header, configuration hash and every row (with ratios that
-    decode) are accepted, so a file that is refused stays as it was.
+    once its header, configuration hash and every row are accepted, so a
+    file that is refused stays as it was.
     """
-    raw = path.read_bytes()
-    cut = raw.rfind(b"\n") + 1 if not raw.endswith(b"\n") else len(raw)
-    try:
-        lines = [line for line in raw[:cut].decode().splitlines()
-                 if line.strip()]
-        header = json.loads(lines[0]) if lines else None
-        rows = [json.loads(line) for line in lines[1:]]
-    except ValueError as exc:  # bytes that are not UTF-8, or not JSON
-        raise PersistenceError(f"{path}: corrupt sweep file: {exc}") from exc
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        raise PersistenceError(f"{path}: missing sweep header")
-    if header.get("config_hash") != cfg.content_hash():
-        raise PersistenceError(
-            f"{path}: existing results were produced by a different "
-            "configuration; refusing to resume")
     skips = [0] * len(family_tasks)
     expected = ((task, p) for task, params in enumerate(family_tasks)
                 for p in _task_params(cfg.family, params))
-    for i, row in enumerate(rows, start=1):
-        task, params = next(expected, (None, None))
-        try:
-            if not (isinstance(row, dict) and row.get("family") == cfg.family
-                    and row.get("kind") in ("record", "error")
-                    and _same_json(row.get("params"), params)):
-                raise ValueError(f"not the row of the next instance, "
-                                 f"{params!r}")
-            if row["kind"] == "record":
-                summary.absorb_ratios(row)
-        except (KeyError, ValueError) as exc:
+    rows = _sweep_rows(path)
+    try:
+        end, header = next(rows, (0, None))
+        if not isinstance(header, dict) or header.get("kind") != "header":
+            raise PersistenceError(f"{path}: missing sweep header")
+        if header.get("config_hash") != cfg.content_hash():
             raise PersistenceError(
-                f"{path}: corrupt sweep file: row {i}: {exc!r}") from exc
-        skips[task] += 1
-    if cut < len(raw):
-        with path.open("r+b") as fh:
-            fh.truncate(cut)
+                f"{path}: existing results were produced by a different "
+                "configuration; refusing to resume")
+        for i, (end, row) in enumerate(rows, start=1):
+            task, params = next(expected, (None, None))
+            try:
+                _check_row(row, cfg.family, params, summary)
+            except (KeyError, ValueError) as exc:
+                raise PersistenceError(
+                    f"{path}: corrupt sweep file: row {i}: {exc!r}") from exc
+            skips[task] += 1
+    except ValueError as exc:  # a line that is not UTF-8, or not JSON
+        raise PersistenceError(f"{path}: corrupt sweep file: {exc}") from exc
+    if end < path.stat().st_size:
+        os.truncate(path, end)
     return skips
+
+
+def _check_row(row, family: str, params: dict | None,
+               summary: SweepSummary) -> None:
+    """Fold into ``summary`` the ratios of a row read where the instance
+    with ``params`` belongs (None past the last instance); a row that is
+    not that instance's row raises ValueError or KeyError."""
+    if not (isinstance(row, dict) and row.get("family") == family
+            and row.get("kind") in ("record", "error")
+            and _same_json(row.get("params"), params)):
+        raise ValueError(f"not the row of the next instance, {params!r}")
+    if row["kind"] == "error":
+        return
+    g, h, d, mu = ints = [row[key] for key in ("g", "h", "d", "mu")]
+    if any(type(v) is not int for v in ints) or d < 0 or min(h, mu) < 1:
+        raise ValueError(f"g, h, d and mu are not sweep ints: {ints!r}")
+    ratios = _ratios(g, h, d, mu)
+    encoded = [None if r is None else rational_to_json(*r) for r in ratios]
+    if not _same_json([row["ratio_d"], row["ratio_mu"]], encoded):
+        raise ValueError(f"ratios are not those of g, h, d, mu = {ints!r}")
+    summary._fold(*ratios)
 
 
 def _same_json(a, b) -> bool:
@@ -396,10 +412,12 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
 
 
 def _map(fn, items, parallelism: int) -> Iterator:
-    """fn over items in order: on ``parallelism`` worker processes when
-    that is above 1 and there are several items, else in this process."""
-    if parallelism > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    """fn over items in order: on a pool of worker processes no wider
+    than ``parallelism``, the number of items or the CPU count, when that
+    is above 1, else in this process."""
+    workers = min(parallelism, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, items, chunksize=1)
     else:
         yield from map(fn, items)
@@ -411,12 +429,9 @@ def _absorb_rows(rows: list[dict], summary: SweepSummary, out_fh) -> None:
             summary.errors += 1
         else:
             summary.records_written += 1
-            g, h, d = row["g"], row["h"], row["d"]  # ints, not the encodings
-            summary._fold((g, d * h**3) if d else None,
-                          (g, row["mu"] * h * h))
+            summary._fold(*_ratios(row["g"], row["h"], row["d"], row["mu"]))
         if out_fh is not None:
-            stamped = dict(row)
-            stamped["ts"] = _utc_now()
+            stamped = dict(row, ts=_utc_now())
             out_fh.write(json.dumps(stamped, sort_keys=True) + "\n")
 
 
@@ -437,31 +452,29 @@ def exhaustive_two_residue_sweep(n_max: int, h_cap: int = DEFAULT_H_CAP,
 
 
 def read_records(path: str | Path) -> Iterator[dict]:
-    """Yield the record rows (not header/error rows) of a sweep file."""
-    with Path(path).open() as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if row.get("kind") == "record":
-                yield row
+    """Yield the record rows (not header/error rows) of a sweep file, one
+    at a time; a torn final line is skipped, as a resume drops it."""
+    for _, row in _sweep_rows(Path(path)):
+        if row.get("kind") == "record":
+            yield row
 
 
 def export_csv(jsonl_path: str | Path, csv_path: str | Path) -> int:
-    """Flatten a sweep record file to CSV; returns the number of rows."""
+    """Flatten a sweep record file to CSV, writing each record as it is
+    read; returns the number of rows."""
     import csv
 
-    rows = list(read_records(jsonl_path))
     fields = ["family", "params", "h", "g", "h_nominal", "delta", "diam",
               "d", "eta", "mu", "ratio_d", "ratio_mu", "engine_version"]
+    count = 0
     with Path(csv_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
-        for row in rows:
+        for count, row in enumerate(read_records(jsonl_path), start=1):
             flat = dict(row, params=json.dumps(row["params"], sort_keys=True,
                                                separators=(",", ":")))
             writer.writerow([flat.get(f) for f in fields])
-    return len(rows)
+    return count
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +574,7 @@ def _klopsch_lev_n(n: int) -> dict:
     bases = 0
     viol_31 = 0
     viol_32 = 0
-    best_num, best_den = 0, 1  # max of |C|*rho / 2n
+    best = (0, 1)  # max of |C|*rho / 2n
     for c, orbit in _affine_orbits(n):
         if any(c & ~pm == 0 for pm in prime_masks):
             continue  # trapped in a proper subgroup: not a basis
@@ -570,14 +583,11 @@ def _klopsch_lev_n(n: int) -> dict:
         size = c.bit_count()
         if size * rho >= 2 * n:
             viol_32 += orbit
-        if size * rho * best_den > best_num * 2 * n:
-            best_num, best_den = size * rho, 2 * n
+        best = _max_ratio(best, (size * rho, 2 * n))
         if rho >= 2 and size > rhs[rho]:
             viol_31 += orbit
-    g = gcd(best_num, best_den) or 1
     return {"n": n, "bases": bases, "violations_divisor_bound": viol_31,
-            "violations_product_bound": viol_32,
-            "max_product_ratio": (best_num // g, best_den // g)}
+            "violations_product_bound": viol_32, "max_product_ratio": best}
 
 
 def klopsch_lev_exhaustive(n_max: int, parallelism: int = 1) -> dict:
@@ -597,8 +607,8 @@ def klopsch_lev_exhaustive(n_max: int, parallelism: int = 1) -> dict:
     total = sum(row["bases"] for row in per_n)
     v31 = sum(row["violations_divisor_bound"] for row in per_n)
     v32 = sum(row["violations_product_bound"] for row in per_n)
-    best = max((Fraction(*row["max_product_ratio"]) for row in per_n),
-               default=Fraction(0))
+    best = reduce(_max_ratio, (row["max_product_ratio"] for row in per_n),
+                  None)
     if v31 or v32:
         raise BoundViolation(
             f"cyclic basis bounds failed: divisor={v31} product={v32} "
@@ -607,6 +617,6 @@ def klopsch_lev_exhaustive(n_max: int, parallelism: int = 1) -> dict:
         "n_max": n_max,
         "bases_checked": total,
         "violations": 0,
-        "max_product_ratio": rational_to_json(best),
+        "max_product_ratio": rational_to_json(*best),
         "per_n": per_n,
     }

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import chain, combinations
@@ -25,7 +26,6 @@ from addbasis import (
     verify_instance,
 )
 from addbasis import orders, sweeps
-from addbasis.invariants import rational_to_json
 from conftest import naive_cyclic_order
 
 
@@ -44,7 +44,7 @@ def _encoded(f):
         f"{f.numerator}/{f.denominator}"
 
 
-_fractions = st.fractions(0, 50, max_denominator=400)
+_pairs = st.tuples(st.integers(0, 2000), st.integers(1, 400))
 
 
 class TestRunSweep:
@@ -75,20 +75,22 @@ class TestRunSweep:
 
     @given(st.integers(0, 10**6), st.integers(1, 10**6))
     def test_pair_encoding_matches_fraction(self, p, q):
-        assert rational_to_json(p, q) == _encoded(Fraction(p, q))
+        assert sweeps.rational_to_json(p, q) == _encoded(Fraction(p, q))
 
-    @given(st.lists(st.tuples(st.none() | _fractions, _fractions),
+    @given(st.lists(st.tuples(st.none() | _pairs, _pairs),
                     min_size=1, max_size=12))
     def test_maxima_match_fraction_max(self, ratios):
-        # compared in integers, including encodings not in lowest terms
+        # _max_ratio compares pairs in integers, including pairs not in
+        # lowest terms; each maximum is the Fraction maximum's pair
         summary = SweepSummary()
         for d, m in ratios:
-            summary.absorb_ratios({
-                "ratio_d": None if d is None else _encoded(d),
-                "ratio_mu": f"{2 * m.numerator}/{2 * m.denominator}"})
-        ds = [d for d, _ in ratios if d is not None]
-        assert summary.max_ratio_d == (max(ds) if ds else None)
-        assert summary.max_ratio_mu == max(m for _, m in ratios)
+            summary._fold(d, (2 * m[0], 2 * m[1]))
+        ds = [Fraction(*d) for d, _ in ratios if d is not None]
+        best_mu = max(Fraction(*m) for _, m in ratios)
+        assert summary.max_ratio_d == (
+            (max(ds).numerator, max(ds).denominator) if ds else None)
+        assert summary.max_ratio_mu == (best_mu.numerator,
+                                        best_mu.denominator)
 
     def test_resume_skips_existing(self, tmp_path):
         out = tmp_path / "s.jsonl"
@@ -164,6 +166,32 @@ class TestRunSweep:
                                      if r.get("kind") == "record"])
         assert strip(seq) == strip(par)
 
+    def test_pool_is_no_wider_than_its_items_or_the_cpus(self, monkeypatch):
+        # a stand-in executor records the width asked for, so no process
+        # starts, whatever the parallelism
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        for cpus in (64, 2, None):
+            monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+            klopsch_lev_exhaustive(8, parallelism=10**6)  # 8 items
+            run_sweep(SweepConfig("cubic", {"d": [1], "k": [2, 3, 4]},
+                                  parallelism=10**6))  # 3 tasks
+        assert widths == [8, 3, 2, 2]  # one CPU, or None: no pool
+
     def test_summary_without_persistence(self):
         summary = run_sweep(SweepConfig("cubic", {"d": [1], "k": [2, 3]}))
         assert summary.records_written == 2
@@ -195,6 +223,19 @@ class TestRunSweep:
         assert first["params"] == '{"d":1,"k":2}'
         assert (first["h"], first["g"]) == ("3", "7")
         assert (first["ratio_d"], first["ratio_mu"]) == ("7/27", "7/18")
+
+    def test_torn_final_row_is_skipped_on_read(self, tmp_path):
+        # a torn final row is dropped by read_records and export_csv, as
+        # a resume drops it: the export holds exactly the complete rows
+        out = tmp_path / "two.jsonl"
+        exhaustive_two_residue_sweep(5, out=str(out))
+        whole = list(read_records(out))
+        assert export_csv(out, tmp_path / "whole.csv") == len(whole)
+        out.write_bytes(out.read_bytes()[:-9])
+        assert list(read_records(out)) == whole[:-1]
+        assert export_csv(out, tmp_path / "torn.csv") == len(whole) - 1
+        assert (tmp_path / "torn.csv").read_text().splitlines() == \
+            (tmp_path / "whole.csv").read_text().splitlines()[:-1]
 
 
 class TestTwoResidueSweep:
@@ -242,7 +283,7 @@ class TestTwoResidueSweep:
             assert row == sweeps.make_record(
                 "two_residue", row["params"], verify_instance(inst),
                 h_nominal)
-        assert summary.max_ratio_d == summary.max_ratio_mu == 1
+        assert summary.max_ratio_d == summary.max_ratio_mu == (1, 1)
 
     def test_removed_set_order_is_n_minus_1(self):
         # A \ X lies in the core, so R = C = {a, b}, and R + kD with
@@ -299,8 +340,10 @@ class TestTwoResidueResume:
         assert resumed.records_written + resumed.records_skipped \
             == fresh.records_written == len(records)
         assert resumed.records_skipped > 0
-        assert resumed.max_ratio_d == fresh.max_ratio_d == max(
-            Fraction(r["ratio_d"]) for r in records if r["ratio_d"] is not None)
+        best = max(Fraction(r["ratio_d"])
+                   for r in records if r["ratio_d"] is not None)
+        assert resumed.max_ratio_d == fresh.max_ratio_d == (
+            best.numerator, best.denominator)
         assert resumed.max_ratio_mu == fresh.max_ratio_mu
 
     @pytest.mark.parametrize("field,value", [
@@ -310,7 +353,10 @@ class TestTwoResidueResume:
         # the row's own params, {"a": 0, "b": 1, "n": 2, "x": [0, 1]}, with
         # JSON true for 1 and 2.0 for 2: equal in Python, not in JSON
         ("params", {"a": 0, "b": True, "n": 2.0, "x": [0, 1]}),
-        ("params", {"a": 0, "b": 1, "n": 2, "x": [0, True]})])
+        ("params", {"a": 0, "b": 1, "n": 2, "x": [0, True]}),
+        # ratios that are not those of the row's own ints: its ratio_mu is
+        # 1/2, and d is 1; and ints that are not JSON ints
+        ("ratio_mu", "100/1"), ("d", 2), ("g", True), ("g", "1")])
     def test_corrupt_row_is_refused_before_truncation(self, tmp_path,
                                                       field, value):
         out = tmp_path / "two.jsonl"
@@ -374,6 +420,28 @@ class TestTwoResidueResume:
         assert [skip for *_, skip in shipped] == \
             [kept_n.count(params["n"]) for _, params, *_ in shipped]
         assert [r["params"] for r in read_records(out)] == full
+
+    def test_resume_and_export_memory_is_flat(self, tmp_path):
+        # both read the file a row at a time, so the traced peak of a file
+        # of 5,359 rows (n <= 12) stays near that of 363 rows (n <= 6)
+        peaks = []
+        for n_max in (6, 12):
+            out = tmp_path / f"two{n_max}.jsonl"
+            exhaustive_two_residue_sweep(n_max, out=str(out))
+            tracemalloc.start()
+            try:
+                resumed = exhaustive_two_residue_sweep(n_max, out=str(out),
+                                                       resume=True)
+                resume_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                export_csv(out, tmp_path / f"two{n_max}.csv")
+                peaks.append((resume_peak, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            assert resumed.records_written == 0
+        (small_resume, small_export), (large_resume, large_export) = peaks
+        assert large_resume < small_resume + 2**20
+        assert large_export < small_export + 2**20
 
     def test_torn_half_resumes_to_the_golden_hash(self, tmp_path):
         out = tmp_path / "two.jsonl"
