@@ -30,8 +30,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from math import gcd, lcm
+from itertools import accumulate, compress, count
+from math import gcd, isqrt, lcm
+from operator import add, lt
 from typing import Iterable
 
 from .errors import EmptyOperand, InternalInconsistency, NotASubset
@@ -78,33 +79,47 @@ def _json_field(obj, key: str, default: int | list):
     return v
 
 
-def _mask_bits(mask: int) -> list[int]:
-    """Positions of set bits, ascending.
-
-    Meant for masks with few set bits: each one peels the lowest bit off
-    the whole mask, so the cost is set bits * width.  A dense prefix is
-    decoded in one pass by ``_from_prefix_mask`` instead."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0/1 bytes
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending, in one pass over
+    its binary digits: a mask with under one set bit in five run by run of
+    zeros (faster there, as only set bits become ints), any other digit by
+    digit.  A list, so that a tuple made from it is allocated at its size
+    (one grown from an iterator raised the peak RSS of long bitset runs by
+    ~10%)."""
+    digits = bin(mask)[:1:-1]
+    if 5 * mask.bit_count() < len(digits):
+        gaps = digits.split("1")  # the run of zeros below each set bit
+        gaps.pop()
+        return list(map(add, accumulate(map(len, gaps)), count()))
+    return list(compress(count(), digits.encode().translate(_BITS)))
+
+
+def _mask(xs: Iterable[int], width: int) -> int:
+    """The mask with bit x set for each x in ``xs``, all in [0, width),
+    built in a buffer of the mask's own size and converted once, so the
+    cost is linear in width."""
+    buf = bytearray((width + 7) >> 3)
+    for x in xs:
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
+
+
 def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _min_period(rmask: int, n: int) -> int:
+    """Minimal period of a residue set given as an n-bit mask: the least
+    divisor m of n for which rotating the mask by m leaves it unchanged.
+    The rotations that fix the mask form a subgroup of Z/nZ, so every
+    period of the set is a multiple of the least one."""
+    full = (1 << n) - 1
+    return next(m for m in _divisors(n)
+                if (rmask << m | rmask >> (n - m)) & full == rmask)
 
 
 @dataclass(frozen=True)
@@ -116,7 +131,8 @@ class EventuallyPeriodicSet:
     checks that, then lowers the modulus to the minimal period and the
     threshold to the least point from which the periodic description holds.
     Structural equality is therefore set equality, and :meth:`normalize`
-    returns ``self``.
+    returns ``self``.  Outside equality, each value keeps the residue mask
+    ``_rmask`` and, once a sumset needs it, the finite-part mask ``_fmask``.
     """
 
     finite_part: tuple[int, ...]
@@ -125,38 +141,46 @@ class EventuallyPeriodicSet:
     residues: frozenset[int]
 
     def __post_init__(self):
-        self._canonicalize(find_period=True)
+        self._canonicalize(None)
 
-    def _canonicalize(self, find_period: bool) -> None:
+    def _canonicalize(self, rmask: int | None) -> None:
         """Check the fields, then rewrite them in place into the canonical
-        form while the value is being constructed.  A tail taken from a
-        canonical set has its minimal period: only find it if asked."""
-        if self.modulus < 1:
+        form while the value is being constructed, keeping the residue
+        mask as ``_rmask``.  A tail taken from a canonical set has its
+        minimal period and comes with its mask ``rmask``; with None, the
+        mask is built and the minimal period found.  The checks run at C
+        speed; only a faulty finite part is scanned, for its first fault."""
+        finite, t, n, res = (self.finite_part, self.threshold, self.modulus,
+                             self.residues)
+        if n < 1:
             raise ValueError("modulus must be positive")
-        if self.threshold < 0:
+        if t < 0:
             raise ValueError("threshold must be non-negative")
-        if not all(0 <= r < self.modulus for r in self.residues):
+        if res and (min(res) < 0 or max(res) >= n):
             raise ValueError("residues must lie in [0, modulus)")
-        prev = -1
-        for x in self.finite_part:
-            if x <= prev:
-                raise ValueError("finite part must be strictly increasing")
-            if x < 0 or x >= self.threshold:
-                raise ValueError("finite part elements must lie in [0, threshold)")
-            prev = x
-        finite, res = self.finite_part, self.residues
+        if finite and not (finite[0] >= 0 and finite[-1] < t
+                           and all(map(lt, finite, finite[1:]))):
+            prev = -1  # a fault: scan for the first one, to name it
+            for x in finite:
+                if x <= prev:
+                    raise ValueError("finite part must be strictly increasing")
+                if x >= t:
+                    raise ValueError(
+                        "finite part elements must lie in [0, threshold)")
+                prev = x
         if not res:
-            t, m = (finite[-1] + 1 if finite else 0), 1
+            t, m, rmask = (finite[-1] + 1 if finite else 0), 1, 0
         else:
-            n = m = self.modulus
-            if find_period:
-                m = next(m for m in _divisors(n)
-                         if all((r + m) % n in res for r in res))
+            m = n
+            if rmask is None:
+                rmask = _mask(res, n)
+                m = _min_period(rmask, n)
+                rmask &= (1 << m) - 1
                 if m < n:
-                    res = frozenset(r % m for r in res)
+                    res = frozenset(_bits(rmask))
             # lower the threshold as far as the periodic description stays
             # true; finite[:i] are the finite elements below t
-            t, i = self.threshold, len(finite)
+            i = len(finite)
             while t > 0:
                 present = i > 0 and finite[i - 1] == t - 1
                 if present != ((t - 1) % m in res):
@@ -164,8 +188,11 @@ class EventuallyPeriodicSet:
                 t -= 1
                 i -= present
             finite = finite[:i]
+        # setattr: reading the __dict__ of a value that __init__ built
+        # makes its later attribute reads ~3x slower
         for name, value in (("finite_part", finite), ("threshold", t),
-                            ("modulus", m), ("residues", res)):
+                            ("modulus", m), ("residues", res),
+                            ("_rmask", rmask)):
             object.__setattr__(self, name, value)
 
     def _with_prefix(self, finite, t: int) -> "EventuallyPeriodicSet":
@@ -173,7 +200,7 @@ class EventuallyPeriodicSet:
         out = object.__new__(EventuallyPeriodicSet)
         out.__dict__.update(finite_part=finite, threshold=t,
                             modulus=self.modulus, residues=self.residues)
-        out._canonicalize(find_period=False)
+        out._canonicalize(self._rmask)
         return out
 
     # ------------------------------------------------------------------
@@ -256,27 +283,20 @@ class EventuallyPeriodicSet:
     # bitmask prefix kernel
 
     def _prefix_mask(self, bound: int) -> int:
-        """Bitmask of all elements in [0, bound]; bit x set iff x in S.
-
-        The finite part is written as binary digits, bit x at digit
-        bound - x, and converted once, so the cost is linear in bound."""
-        digits = bytearray(b"0") * (bound + 1)
-        for x in self.finite_part:
-            if x > bound:
-                break
-            digits[bound - x] = 49  # ord("1")
-        mask = int(digits, 2)
+        """Bitmask of all elements in [0, bound]; bit x set iff x in S: the
+        stored finite-part mask with the tail pattern ORed in from the
+        threshold on, the residue mask doubled until it spans the bound."""
+        fmask = getattr(self, "_fmask", None)
+        if fmask is None:  # computed once, on first use
+            fmask = _mask(self.finite_part, self.threshold)
+            object.__setattr__(self, "_fmask", fmask)
+        mask = fmask & ((1 << (bound + 1)) - 1)
         if self.residues and self.threshold <= bound:
-            n = self.modulus
-            pat = 0
-            for r in self.residues:
-                pat |= 1 << r
-            width = n
+            pat, width = self._rmask, self.modulus
             while width <= bound:
                 pat |= pat << width
                 width *= 2
-            pat &= (1 << (bound + 1)) - 1
-            mask |= pat & ~((1 << self.threshold) - 1)
+            mask |= pat & ((1 << (bound + 1)) - (1 << self.threshold))
         return mask
 
     @classmethod
@@ -291,19 +311,28 @@ class EventuallyPeriodicSet:
         when no y >= x has bit y != bit y + period, and t is the least
         such x.  Nor does t depend on which multiple of the minimal period
         is used: if S is P-periodic from t and m-periodic further out, then
-        for x >= t, S(x) = S(x + kP) = S(x + kP + m) = S(x + m).  The
-        residues come from the window at t; the constructor still checks
-        the fields and finds the minimal period, and its threshold loop
-        stops at its first step.  The finite part is read off the binary
-        digits below t in one pass."""
+        for x >= t, S(x) = S(x + kP) = S(x + kP + m) = S(x + m).
+
+        The period-bit window at t, rotated left by t mod period, is the
+        residue mask (bit j of the window is t + j); the constructor's
+        rotation search (:func:`_min_period`) lowers it to the minimal
+        period.  The finite part and the residues are each decoded in one
+        pass over ``bin()``, both masks are kept for later sumsets, and
+        ``_canonicalize`` checks the fields as the constructor does; its
+        threshold loop stops at its first step."""
         t = ((mask ^ (mask >> period)) & ((1 << tail_start) - 1)).bit_length()
-        window = (mask >> t) & ((1 << period) - 1)
-        residues = frozenset((t + j) % period for j in _mask_bits(window))
-        digits = bin(mask & ((1 << t) - 1))[:1:-1].encode().translate(_BITS)
-        # through a list: a tuple built straight from compress grows by
-        # resizing, and raised the peak RSS of long bitset runs by ~10%
-        finite = tuple(list(compress(range(t), digits)))
-        return cls(finite, t, period, residues)
+        full, s = (1 << period) - 1, t % period
+        window = (mask >> t) & full
+        rmask = (window << s | window >> (period - s)) & full
+        m = _min_period(rmask, period)
+        rmask &= (1 << m) - 1
+        fmask = mask & ((1 << t) - 1)
+        out = object.__new__(cls)
+        out.__dict__.update(finite_part=tuple(_bits(fmask)), threshold=t,
+                            modulus=m, residues=frozenset(_bits(rmask)),
+                            _fmask=fmask)
+        out._canonicalize(rmask)
+        return out
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -321,7 +350,7 @@ class EventuallyPeriodicSet:
         if mb.bit_count() > ma.bit_count():
             ma, mb = mb, ma
         acc = 0
-        for shift in _mask_bits(mb):
+        for shift in _bits(mb):
             acc |= ma << shift
         acc &= (1 << (bound + 1)) - 1
         # bug trap: the tail must already repeat with the computed period
@@ -393,12 +422,12 @@ class EventuallyPeriodicSet:
         """(R, D = C - min C, delta = gcd(n, D)) of an infinite set, R and D
         as masks over Z/nZ, C = (F ∪ R) mod n; see :mod:`.invariants`."""
         n = self.modulus
-        rmask = cmask = sum(1 << r for r in self.residues)
+        rmask = cmask = self._rmask
         for f in self.finite_part:
             cmask |= 1 << (f % n)
         c0 = (cmask & -cmask).bit_length() - 1
         dmask = ((cmask | cmask << n) >> c0) & ((1 << n) - 1)
-        return rmask, dmask, gcd(n, *_mask_bits(dmask))
+        return rmask, dmask, gcd(n, *_bits(dmask))
 
     def is_cofinite(self) -> bool:
         """True iff N \\ S is finite (canonical tail covers every class)."""

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addbasis import EmptyOperand, EventuallyPeriodicSet, NotASubset
+from addbasis.periodic import _bits, _min_period
 from conftest import naive_h_fold_prefix, naive_sumset_prefix, periodic_sets
 
 EPS = EventuallyPeriodicSet
@@ -71,12 +72,45 @@ class TestNormalize:
         assert (x in s) == (x in s.normalize())
 
     def test_structural_validation(self):
-        with pytest.raises(ValueError):
-            EPS((5,), 3, 2, frozenset())  # finite element >= threshold
-        with pytest.raises(ValueError):
-            EPS((), 0, 0, frozenset())  # zero modulus
-        with pytest.raises(ValueError):
-            EPS((), 0, 4, frozenset({4}))  # residue out of range
+        for fields, message in [
+            (((5,), 3, 2, frozenset()), "finite part elements must lie in"),
+            (((), 0, 0, frozenset()), "modulus must be positive"),
+            (((), 0, 4, frozenset({4})), "residues must lie in"),
+            (((2, 1), 5, 1, frozenset()), "strictly increasing"),
+            (((1, 1), 5, 1, frozenset()), "strictly increasing"),
+            # a scan up from -1 meets a negative element as a fall
+            (((-1, 2), 5, 1, frozenset()), "strictly increasing"),
+            (((), -1, 1, frozenset()), "threshold must be non-negative"),
+            (((), 0, 4, frozenset({-1})), "residues must lie in"),
+            # with two faults, the one the scan meets first
+            (((1, 5, 3), 4, 1, frozenset()), "finite part elements must lie"),
+            (((1, 3, 3, 9), 4, 1, frozenset()), "strictly increasing"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                EPS(*fields)
+            finite, t, n, residues = fields
+            if n > 0 and not residues:  # the remove/adjoin path checks too
+                with pytest.raises(ValueError, match=message):
+                    EPS.from_periodic(n, {0})._with_prefix(finite, t)
+
+    @given(st.lists(st.integers(-3, 12), max_size=6), st.integers(0, 10))
+    def test_finite_check_names_the_first_fault(self, finite, t):
+        # the element-by-element scan the C-speed check stands for
+        expected, prev = None, -1
+        for x in finite:
+            if x <= prev:
+                expected = "finite part must be strictly increasing"
+                break
+            if x >= t:
+                expected = "finite part elements must lie in [0, threshold)"
+                break
+            prev = x
+        try:
+            EPS(tuple(finite), t, 1, frozenset())
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == expected
 
     @given(valid_parts())
     def test_construction_is_canonical(self, parts):
@@ -150,6 +184,44 @@ class TestSumset:
                 assert (got.finite_part, got.threshold, got.modulus,
                         got.residues) == (s.finite_part, s.threshold,
                                           s.modulus, s.residues)
+
+    @settings(max_examples=80, deadline=None)
+    @given(periodic_sets(max_modulus=12, max_threshold=20),
+           periodic_sets(max_modulus=12, max_threshold=20))
+    # minimal period 2, a proper divisor of lcm 12: evens but 2
+    @example(EPS.from_periodic(4, {0}), EPS.from_periodic(6, {0}))
+    @example(EPS.from_periodic(2, {0}), EPS.from_periodic(3, {0}))  # cofinite
+    @example(EPS.from_finite([1, 5]), EPS.from_finite([0, 10]))  # finite
+    def test_rebuild_matches_the_constructor(self, s1, s2):
+        # the sumset rebuilds its result from masks alone: the public
+        # constructor must find the same fields, and the masks the result
+        # keeps must be those of its own elements
+        c = s1 + s2
+        fields = (c.finite_part, c.threshold, c.modulus, c.residues)
+        d = EPS(*fields)
+        assert (d.finite_part, d.threshold, d.modulus, d.residues) == fields
+        t, n = c.threshold, c.modulus
+        kept = vars(c)
+        assert kept["_fmask"] == sum(1 << x for x in c.prefix(t - 1))
+        assert kept["_rmask"] == sum({1 << x % n for x in c.prefix(t + n - 1)
+                                      if x >= t})
+        assert vars(d)["_rmask"] == kept["_rmask"]
+
+    @given(st.sets(st.integers(0, 300)), st.booleans())
+    def test_bits_lists_the_set_bits(self, positions, dense):
+        mask = sum(1 << i for i in positions)
+        if dense:  # the complement, so that both ways of reading run
+            mask ^= (1 << 301) - 1
+        assert _bits(mask) == [i for i in range(mask.bit_length())
+                               if mask >> i & 1]
+
+    @given(st.integers(1, 36).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(0, n - 1)))))
+    def test_min_period_is_the_least_period(self, case):
+        n, residues = case
+        m = _min_period(sum(1 << r for r in residues), n)
+        assert m == min(p for p in range(1, n + 1) if n % p == 0 and all(
+            (r + p) % n in residues for r in residues))
 
     @settings(max_examples=60, deadline=None)
     @given(periodic_sets(max_modulus=12, max_threshold=20),
