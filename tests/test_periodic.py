@@ -1,6 +1,7 @@
 """Set algebra: canonical forms, sumsets, saturation, densities."""
 
 import pytest
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from hypothesis import example, given, settings
@@ -217,11 +218,28 @@ class TestSumset:
 
     @given(st.integers(1, 36).flatmap(lambda n: st.tuples(
         st.just(n), st.sets(st.integers(0, n - 1)))))
+    @example((720, {1, 5, 361, 365}))  # 30 divisors; minimal period 360
+    @example((720, set(range(3, 720, 48)) | set(range(7, 720, 80))))
+    @example((2 * 3 * 5 * 7 * 11, {0}))
+    @example((97, {3}))
     def test_min_period_is_the_least_period(self, case):
         n, residues = case
         m = _min_period(sum(1 << r for r in residues), n)
         assert m == min(p for p in range(1, n + 1) if n % p == 0 and all(
             (r + p) % n in residues for r in residues))
+
+    def test_min_period_of_a_modulus_with_many_divisors(self):
+        # n = 2·3·5·…·23 has 512 divisors: the search must neither try
+        # them all nor build an n-bit int for a set of two small residues
+        n = 223092870
+        tracemalloc.start()
+        s = EPS.from_periodic(n, {1, 5})
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (s.modulus, s.residues) == (n, {1, 5}) and peak < 1 << 16
+        h = n // 2  # no smaller period: 4 and h + 4 do not divide n
+        s = EPS.from_periodic(n, {1, 5, h + 1, h + 5})
+        assert (s.modulus, s.residues, vars(s)["_rmask"]) == (h, {1, 5}, 34)
 
     @settings(max_examples=60, deadline=None)
     @given(periodic_sets(max_modulus=12, max_threshold=20),
