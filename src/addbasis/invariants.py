@@ -20,8 +20,10 @@ For an infinite set A containing X:
 
 Both eta and mu are infima over infinite sets, but the gap structure of an
 eventually periodic tail repeats with its modulus, so a finite scan window
-suffices.  ``_eta`` proves its window; both windows are property-tested
-against 10x-larger brute-force scans.
+can suffice.  ``_eta`` proves its window.  The mu window of ``_mu`` does
+not always suffice: when succ(max X) in A \\ X lies past it, mu can come
+out too large (README, "Known divergences").  Both windows are
+property-tested against 10x-larger brute-force scans.
 """
 
 from __future__ import annotations
@@ -106,13 +108,12 @@ def eta(a: EventuallyPeriodicSet, xs: Iterable[int]) -> int:
 
 def mu_with_witness(a: EventuallyPeriodicSet,
                     xs: Iterable[int]) -> tuple[int, int]:
-    """mu(A, X) together with the smallest minimising y in A \\ X.
-
-    Candidates below max(X) can only shrink the objective down to
-    diam(X); above max(X) the objective grows with y, so only elements up
-    to one period past max(X) matter.  The window is extended with the
-    overall minimum of A \\ X to cover sets whose elements all lie far
-    beyond X.
+    """mu(A, X) together with the smallest minimising y in A \\ X, found
+    among its elements up to max X + diam X + n + 1 (n its modulus), or
+    its minimum if none is.  That window does not always suffice: when
+    A \\ X has no element in [min X, max X] and succ(max X) lies past the
+    window, mu can come out too large, e.g. 5 for {0, 1, 6} ∪ [9, ∞)
+    with X = {6}, whose true mu is 3.
     """
     x = as_finite_set(xs)
     return _mu(a.remove_finite(x), x)

@@ -140,9 +140,10 @@ class EventuallyPeriodicSet:
     """Immutable eventually periodic subset of N, canonical by construction.
 
     The fields must be structurally valid: a strictly increasing finite
-    part inside [0, threshold), residues inside [0, modulus).  Construction
-    checks that, then lowers the modulus to the minimal period and the
-    threshold to the least point from which the periodic description holds.
+    part inside [0, threshold), residues inside [0, modulus).  The public
+    constructor checks that, then lowers the modulus to the minimal period
+    and the threshold to the least point from which the periodic
+    description holds; the library's own rebuilds skip the checks.
     Structural equality is therefore set equality, and :meth:`normalize`
     returns ``self``.  Outside equality, each value keeps the residue mask
     ``_rmask`` and, once a sumset needs it, the finite-part mask ``_fmask``.
@@ -154,15 +155,8 @@ class EventuallyPeriodicSet:
     residues: frozenset[int]
 
     def __post_init__(self):
-        self._canonicalize(None)
-
-    def _canonicalize(self, rmask: int | None) -> None:
-        """Check the fields, then rewrite them in place into the canonical
-        form while the value is being constructed, keeping the residue
-        mask as ``_rmask``.  A tail taken from a canonical set has its
-        minimal period and comes with its mask ``rmask``; with None, the
-        mask is built and the minimal period found.  The checks run at C
-        speed; only a faulty finite part is scanned, for its first fault."""
+        """Check the fields where data enters, at C speed (only a faulty
+        finite part is scanned, for its first fault), then canonicalize."""
         finite, t, n, res = (self.finite_part, self.threshold, self.modulus,
                              self.residues)
         if n < 1:
@@ -181,6 +175,13 @@ class EventuallyPeriodicSet:
                     raise ValueError(
                         "finite part elements must lie in [0, threshold)")
                 prev = x
+        self._canonicalize(finite, t, n, res, None)
+
+    def _canonicalize(self, finite, t, n, res, rmask: int | None) -> None:
+        """Store valid fields in canonical form, keeping the residue mask
+        as ``_rmask``.  A tail taken from a canonical set has its minimal
+        period and comes with its mask ``rmask``; with None, the mask is
+        built and the minimal period found."""
         if not res:
             t, m, rmask = (finite[-1] + 1 if finite else 0), 1, 0
         else:
@@ -209,11 +210,10 @@ class EventuallyPeriodicSet:
             object.__setattr__(self, name, value)
 
     def _with_prefix(self, finite, t: int) -> "EventuallyPeriodicSet":
-        """``finite`` below t and this set's tail from t on, canonical."""
+        """``finite`` below t and this set's tail from t on, canonical;
+        unchecked, as callers build ``finite`` strictly increasing below t."""
         out = object.__new__(EventuallyPeriodicSet)
-        out.__dict__.update(finite_part=finite, threshold=t,
-                            modulus=self.modulus, residues=self.residues)
-        out._canonicalize(self._rmask)
+        out._canonicalize(finite, t, self.modulus, self.residues, self._rmask)
         return out
 
     # ------------------------------------------------------------------
@@ -329,10 +329,10 @@ class EventuallyPeriodicSet:
         The period-bit window at t, rotated left by t mod period, is the
         residue mask (bit j of the window is t + j); the constructor's
         rotation search (:func:`_min_period`) lowers it to the minimal
-        period.  The finite part and the residues are each decoded in one
-        pass over ``bin()``, both masks are kept for later sumsets, and
-        ``_canonicalize`` checks the fields as the constructor does; its
-        threshold loop stops at its first step."""
+        period.  The fields are therefore canonical as read, so no check
+        or threshold walk runs.  The finite part and the residues are each
+        decoded in one pass over ``bin()``, and both masks are kept for
+        later sumsets."""
         t = ((mask ^ (mask >> period)) & ((1 << tail_start) - 1)).bit_length()
         full, s = (1 << period) - 1, t % period
         window = (mask >> t) & full
@@ -343,8 +343,7 @@ class EventuallyPeriodicSet:
         out = object.__new__(cls)
         out.__dict__.update(finite_part=tuple(_bits(fmask)), threshold=t,
                             modulus=m, residues=frozenset(_bits(rmask)),
-                            _fmask=fmask)
-        out._canonicalize(rmask)
+                            _rmask=rmask, _fmask=fmask)
         return out
 
     # ------------------------------------------------------------------

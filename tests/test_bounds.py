@@ -1,6 +1,7 @@
 """Constructions, bound formulas, and instance verification."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from math import ceil, floor
 
@@ -212,6 +213,19 @@ class TestVerifyInstance:
         assert (report.h, report.g) == (1, 1)
         assert report.flags["single_removal_upper"] is True
         assert all(v for v in report.flags.values() if v is not None)
+
+    def test_sparse_set_costs_no_threshold_sized_work(self):
+        # the cost model is sparse: a threshold of 10**12 costs no memory
+        # of its size, and an O(T)-bit mask fails at once (MemoryError)
+        obj = {"A": {"finite": [0, 5], "threshold": 10**12, "modulus": 3,
+                     "residues": [1, 2]}, "X": [0]}
+        tracemalloc.start()
+        report = verify_instance(RemovalInstance.from_json(json.dumps(obj)))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        inv = report.invariants
+        assert (report.h, report.g, inv.eta, inv.mu) == (2, 2, 1, 5)
+        assert peak < 1 << 16
 
     def test_report_json_shape(self):
         payload = verify_instance(cubic_family_instance(1, 2)).to_json()

@@ -1,5 +1,6 @@
 """Set algebra: canonical forms, sumsets, saturation, densities."""
 
+import json
 import pytest
 import tracemalloc
 from fractions import Fraction
@@ -90,9 +91,13 @@ class TestNormalize:
             with pytest.raises(ValueError, match=message):
                 EPS(*fields)
             finite, t, n, residues = fields
-            if n > 0 and not residues:  # the remove/adjoin path checks too
+            if list(finite) == sorted(set(finite)):  # from_parts sorts
+                obj = {"finite": list(finite), "threshold": t, "modulus": n,
+                       "residues": sorted(residues)}
                 with pytest.raises(ValueError, match=message):
-                    EPS.from_periodic(n, {0})._with_prefix(finite, t)
+                    EPS.from_parts(finite, t, n, residues)
+                with pytest.raises(ValueError, match=message):
+                    EPS.from_json(json.dumps(obj))
 
     @given(st.lists(st.integers(-3, 12), max_size=6), st.integers(0, 10))
     def test_finite_check_names_the_first_fault(self, finite, t):
