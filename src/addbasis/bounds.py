@@ -198,9 +198,9 @@ def klopsch_lev_rhs(n: int, rho: int) -> int:
 def density_order_bound(s: EventuallyPeriodicSet) -> int:
     """floor(4 / lower_density(s)) = floor(4n / |R|): order bound for any
     asymptotic basis of positive lower density."""
-    if not s.residues:
+    if s.is_finite:
         raise ZeroDensity("set has zero lower density")
-    return 4 * s.modulus // len(s.residues)
+    return 4 * s.modulus // s._rmask.bit_count()
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ def delta(s: EventuallyPeriodicSet | Iterable[int]) -> int:
     """Gcd of all pairwise differences; for an infinite set, the residue
     formula of the module docstring."""
     if isinstance(s, EventuallyPeriodicSet):
-        if s.residues:
+        if not s.is_finite:
             return s._residue_view()[2]
         elems = s.finite_part
     else:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .errors import (EmptyOperand, InternalInconsistency,
                      NotABasisCertificate, OrderCapExceeded)
-from .periodic import EventuallyPeriodicSet
+from .periodic import EventuallyPeriodicSet, _bits
 
 DEFAULT_H_CAP = 4096
 
@@ -137,16 +137,17 @@ def _affine_key(a: EventuallyPeriodicSet) -> tuple[int, int] | None:
     Two sets with equal keys map onto the same ({0, 1}, C'), so they have
     the same order.  Such a set has delta = 1, as r2 - r1 is a unit.
     """
-    if len(a.residues) != 2:
+    rmask = a._rmask
+    if rmask.bit_count() != 2:
         return None
     n = a.modulus
-    r1, r2 = sorted(a.residues)
+    r1, r2 = (rmask & -rmask).bit_length() - 1, rmask.bit_length() - 1
     try:
         v = pow(r2 - r1, -1, n)
     except ValueError:  # r2 - r1 is no unit mod n
         return None
     m1 = m2 = 0
-    for c in {r1, r2, *(f % n for f in a.finite_part)}:
+    for c in _bits(a._class_mask()):
         m1 |= 1 << (c - r1) * v % n
         m2 |= 1 << (r2 - c) * v % n
     return n, min(m1, m2)

@@ -18,7 +18,7 @@ from addbasis import (
     quadratic_family_instance,
     verify_instance,
 )
-from addbasis import orders
+from addbasis import orders, sweeps
 from conftest import naive_cyclic_order, periodic_sets
 
 EPS = EventuallyPeriodicSet
@@ -282,6 +282,36 @@ class TestAffineMemo:
                             [(u * r + t) % n for r in s.residues])
                         assert orders._affine_key(image) == \
                             orders._affine_key(s)
+
+    def test_key_of_the_class_mask_is_the_set_key(self):
+        # the key reads C from the folded class mask; on every core and
+        # instance of the n <= 12 two-residue sweep it is the key built
+        # from the decoded finite part and residues
+        def set_key(a):
+            if len(a.residues) != 2:
+                return None
+            n = a.modulus
+            r1, r2 = sorted(a.residues)
+            if gcd(r2 - r1, n) != 1:
+                return None
+            v = pow(r2 - r1, -1, n)
+            m1 = m2 = 0
+            for c in {r1, r2, *(f % n for f in a.finite_part)}:
+                m1 |= 1 << (c - r1) * v % n
+                m2 |= 1 << (r2 - c) * v % n
+            return n, min(m1, m2)
+
+        sets = 0
+        for n in range(2, 13):
+            cores = {}
+            for params in sweeps._two_residue_params(n):
+                inst, _ = sweeps._build_instance("two_residue", params, cores)
+                for s in (inst.a, inst.rest):
+                    assert orders._affine_key(s) == set_key(s)
+                    sets += 1
+            for core in cores.values():
+                assert orders._affine_key(core) == set_key(core)
+        assert sets == 10718
 
     def test_sets_without_a_unit_pair_have_no_key(self):
         assert orders._affine_key(EPS.from_periodic(5, {0, 1, 2})) is None

@@ -8,7 +8,8 @@ from math import lcm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from addbasis import EmptyOperand, EventuallyPeriodicSet, NotASubset
+from addbasis import (EmptyOperand, EventuallyPeriodicSet, NotASubset,
+                      cubic_family_instance, order)
 from addbasis.periodic import _bits, _min_period
 from conftest import naive_h_fold_prefix, naive_sumset_prefix, periodic_sets
 
@@ -212,6 +213,64 @@ class TestSumset:
         assert kept["_rmask"] == sum({1 << x % n for x in c.prefix(t + n - 1)
                                       if x >= t})
         assert vars(d)["_rmask"] == kept["_rmask"]
+
+    def test_folds_stay_masks_until_read(self, monkeypatch):
+        # a sumset result, and each fold of the bitset engine, is stored as
+        # its four ints: neither view is decoded until something reads it
+        folds, real = [], EPS.sumset
+
+        def keeping(self, other):
+            folds.append(real(self, other))
+            return folds[-1]
+
+        c = EPS.from_parts([0, 2], 3, 8, {1, 4}) + EPS.from_periodic(6, {1, 2})
+        monkeypatch.setattr(EPS, "sumset", keeping)
+        rest = cubic_family_instance(3, 4).rest
+        assert order(rest, method="bitset").order == 191
+        assert len(folds) == 190
+        for fold in [c, *folds]:
+            assert not {"finite_part", "residues"} & set(vars(fold))
+            fields = (fold.finite_part, fold.threshold, fold.modulus,
+                      fold.residues)
+            d = EPS(*fields)
+            assert (d.finite_part, d.threshold, d.modulus, d.residues) == fields
+
+    @settings(max_examples=150, deadline=None)
+    @given(periodic_sets(max_modulus=4, max_threshold=6, allow_empty=True),
+           periodic_sets(max_modulus=4, max_threshold=6, allow_empty=True))
+    # the evens, built two ways; a cofinite set and its finite part
+    @example(EPS.from_periodic(4, {0, 2}), EPS.from_parts([0], 1, 2, {0}))
+    @example(EPS.from_parts([0, 2], 3, 1, {0}), EPS.from_finite([0, 2]))
+    def test_four_ints_are_set_equality(self, s1, s2):
+        # equality and hashing read the four ints; canonical form makes
+        # that agreement up to both thresholds plus four common periods
+        bound = (max(s1.threshold, s2.threshold)
+                 + 4 * lcm(s1.modulus, s2.modulus))
+        assert (s1 == s2) == (s1.prefix(bound) == s2.prefix(bound))
+        if s1 == s2:
+            assert hash(s1) == hash(s2)
+        if not s1.is_empty:  # the least element, from the masks alone
+            assert s1.min_element() == s1.prefix(bound)[0]
+        # a set rebuilt from masks reads as the constructor's set does
+        built = [s1.adjoin([3])]
+        if not (s1.is_empty or s2.is_empty):
+            built.append(s1 + s2)
+        for m in built:
+            top = m.threshold + 4 * m.modulus
+            reads = (hash(m), [x in m for x in range(-1, top)],
+                     m.min_element())
+            d = EPS(m.finite_part, m.threshold, m.modulus, m.residues)
+            assert m == d
+            assert reads == (hash(d), [x in d for x in range(-1, top)],
+                             d.min_element())
+            assert (m.to_json(), repr(m)) == (d.to_json(), repr(d))
+
+    @given(periodic_sets(max_modulus=5, max_threshold=300))
+    def test_class_mask_folds_the_finite_part(self, s):
+        # C = (F ∪ R) mod n, folded from a finite part many periods wide
+        n = s.modulus
+        assert s._class_mask() == sum(
+            {1 << x % n for x in (*s.finite_part, *s.residues)})
 
     @given(st.sets(st.integers(0, 300)), st.booleans())
     def test_bits_lists_the_set_bits(self, positions, dense):
