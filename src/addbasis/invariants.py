@@ -23,18 +23,18 @@ eventually periodic tail repeats with its modulus, so a finite scan window
 can suffice.  ``_eta`` proves its window.  The mu window of ``_mu`` does
 not always suffice: when succ(max X) in A \\ X lies past it, mu can come
 out too large (README, "Known divergences").  Both windows are
-property-tested against 10x-larger brute-force scans.
+property-tested against 10x-larger brute-force scans.  Each scans its
+window as an int mask, built from the stored ints of A \\ X.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import EmptyComplement, NoQualifyingPair, TooFewElements
-from .periodic import EventuallyPeriodicSet, as_finite_set
+from .periodic import EventuallyPeriodicSet, _pattern, as_finite_set
 
 if TYPE_CHECKING:
     from .bounds import RemovalInstance
@@ -77,7 +77,7 @@ def eta_with_witness(a: EventuallyPeriodicSet,
 def _eta(rest: EventuallyPeriodicSet,
          x: tuple[int, ...]) -> tuple[int, tuple[int, int]]:
     """eta over the window [0, T + 2n + D] of rest = A \\ X, with T its
-    threshold, n its modulus and D = diam(X).
+    threshold, n its modulus and D = diam(X), scanned as a mask m.
 
     With D' = max(D, 1) and next(y) the least element of rest >= y, eta
     is the least next(a + D') - a over a in rest.  Let a be the least
@@ -86,20 +86,33 @@ def _eta(rest: EventuallyPeriodicSet,
     integers from T on meet the tail, so next(a + D') <= max(a + D', T)
     + n - 1 <= T + 2n + D.  The window is a whole prefix of rest, so the
     scan finds that pair, and every pair it reports is a pair of rest.
+
+    Hence eta is the least g >= D' with m & (m >> g) != 0, and the lowest
+    bit of that AND is the least minimiser a, paired with a + g.  With a
+    tail, g < D' + n: the least tail element b has an element of its
+    class mod n in [b + D', b + D' + n), inside the window.
+
+    The window holds no T-bit int.  With w the width of the finite-part
+    mask, the tail part of the window moves down to T' = T - kn, the
+    least such value >= w + D' + n (k = 0 if T is below it), which keeps
+    its pattern.  A pair from the finite part to the tail then spans
+    more than D' + n both in the window (T' - w + 1) and in rest
+    (T - w + 1), so it neither attains nor ties eta; pairs inside either
+    part keep their gaps and order.  So the scan of the moved window
+    gives eta, and its witness once tail bits are moved back up by kn.
     """
-    gap_floor = x[-1] - x[0]
-    elems = rest.prefix(rest.threshold + 2 * rest.modulus + gap_floor)
-    best: tuple[int, int, int] | None = None
-    for i, lo in enumerate(elems):
-        j = bisect_left(elems, lo + max(gap_floor, 1), i + 1)
-        if j < len(elems):
-            cand = (elems[j] - lo, lo, elems[j])
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        raise NoQualifyingPair(
-            "no pair of elements of A \\ X differs by at least diam(X)")
-    return best[0], (best[1], best[2])
+    n, t, fmask, d = rest.modulus, rest.threshold, rest._fmask, x[-1] - x[0]
+    shift = max(0, t - fmask.bit_length() - max(d, 1) - n) // n * n
+    t -= shift  # T'
+    m = fmask | _pattern(rest._rmask, n, t + 2 * n + d + 1) >> t << t
+    for g in range(max(d, 1), m.bit_length()):
+        pairs = m & m >> g
+        if pairs:
+            lo = (pairs & -pairs).bit_length() - 1
+            lo += shift if lo >= t else 0
+            return g, (lo, lo + g)
+    raise NoQualifyingPair(
+        "no pair of elements of A \\ X differs by at least diam(X)")
 
 
 def eta(a: EventuallyPeriodicSet, xs: Iterable[int]) -> int:
@@ -108,12 +121,12 @@ def eta(a: EventuallyPeriodicSet, xs: Iterable[int]) -> int:
 
 def mu_with_witness(a: EventuallyPeriodicSet,
                     xs: Iterable[int]) -> tuple[int, int]:
-    """mu(A, X) together with the smallest minimising y in A \\ X, found
-    among its elements up to max X + diam X + n + 1 (n its modulus), or
-    its minimum if none is.  That window does not always suffice: when
-    A \\ X has no element in [min X, max X] and succ(max X) lies past the
-    window, mu can come out too large, e.g. 5 for {0, 1, 6} ∪ [9, ∞)
-    with X = {6}, whose true mu is 3.
+    """mu(A, X) with the smallest minimising y in A \\ X: pred(min X) or
+    succ(min X), pred on a tie, among its elements up to max X + diam X
+    + n + 1 (n its modulus), or its minimum if none is.  That window does
+    not always suffice: when A \\ X has none in [min X, max X] and
+    succ(max X) lies past it, mu can come out too large, e.g. 5 for
+    {0, 1, 6} ∪ [9, ∞) with X = {6}, whose true mu is 3.
     """
     x = as_finite_set(xs)
     return _mu(a.remove_finite(x), x)
@@ -122,13 +135,14 @@ def mu_with_witness(a: EventuallyPeriodicSet,
 def _mu(rest: EventuallyPeriodicSet, x: tuple[int, ...]) -> tuple[int, int]:
     if rest.is_empty:
         raise EmptyComplement("A \\ X is empty")
-    window = x[-1] + (x[-1] - x[0]) + rest.modulus + 1
-    best_val, best_y = None, None
-    for y in rest.prefix(window) or [rest.min_element()]:
-        val = max(x[-1], y) - min(x[0], y)
-        if best_val is None or val < best_val:
-            best_val, best_y = val, y
-    return best_val, best_y
+    lo, hi = x[0], x[-1]
+    m = rest._prefix_mask(hi + (hi - lo) + rest.modulus + 1)
+    pred, above = (m & ((1 << lo) - 1)).bit_length() - 1, m >> lo
+    succ = lo + (above & -above).bit_length() - 1 if above else None
+    if pred >= 0 and (succ is None or hi - pred <= max(succ, hi) - lo):
+        return hi - pred, pred
+    succ = rest.min_element() if succ is None else succ  # m is empty
+    return max(succ, hi) - lo, succ
 
 
 def mu(a: EventuallyPeriodicSet, xs: Iterable[int]) -> int:

@@ -80,6 +80,39 @@ def naive_mu(a: EventuallyPeriodicSet, x: tuple[int, ...],
     return min(max(hi, y) - min(lo, y) for y in candidates)
 
 
+def prefix_eta(rest: EventuallyPeriodicSet,
+               x: tuple[int, ...]) -> tuple[int, tuple[int, int]] | None:
+    """eta of rest = A \\ X with its least minimising pair, scanned over
+    the sorted prefix of rest up to the window T + 2n + diam(X) that
+    ``invariants._eta`` proves; None when no pair qualifies."""
+    gap_floor = x[-1] - x[0]
+    elems = rest.prefix(rest.threshold + 2 * rest.modulus + gap_floor)
+    best = None
+    for i, lo in enumerate(elems):
+        j = bisect_left(elems, lo + max(gap_floor, 1), i + 1)
+        if j < len(elems):
+            cand = (elems[j] - lo, lo, elems[j])
+            if best is None or cand < best:
+                best = cand
+    return None if best is None else (best[0], (best[1], best[2]))
+
+
+def prefix_mu(rest: EventuallyPeriodicSet,
+              x: tuple[int, ...]) -> tuple[int, int]:
+    """mu of rest = A \\ X with its least minimising y, scanned over the
+    sorted prefix of rest up to the documented window max X + diam(X)
+    + n + 1, or rest's minimum if that prefix is empty.  The window is
+    the one ``invariants.mu_with_witness`` documents, fault included:
+    succ(max X) can lie past it."""
+    window = x[-1] + (x[-1] - x[0]) + rest.modulus + 1
+    best_val, best_y = None, None
+    for y in rest.prefix(window) or [rest.min_element()]:
+        val = max(x[-1], y) - min(x[0], y)
+        if best_val is None or val < best_val:
+            best_val, best_y = val, y
+    return best_val, best_y
+
+
 def naive_cyclic_order(n: int, elems) -> int | None:
     """Least h with every residue mod n a sum of exactly h elements of
     ``elems``, or None when the exact sums never cover Z/nZ.

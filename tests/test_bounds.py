@@ -28,6 +28,7 @@ from addbasis import (
     removal_bound_mu_improved,
     verify_instance,
 )
+from addbasis.sweeps import _build_instance, _two_residue_params
 from conftest import naive_h_fold_prefix, periodic_sets
 
 EPS = EventuallyPeriodicSet
@@ -217,15 +218,38 @@ class TestVerifyInstance:
     def test_sparse_set_costs_no_threshold_sized_work(self):
         # the cost model is sparse: a threshold of 10**12 costs no memory
         # of its size, and an O(T)-bit mask fails at once (MemoryError)
-        obj = {"A": {"finite": [0, 5], "threshold": 10**12, "modulus": 3,
-                     "residues": [1, 2]}, "X": [0]}
-        tracemalloc.start()
-        report = verify_instance(RemovalInstance.from_json(json.dumps(obj)))
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        inv = report.invariants
-        assert (report.h, report.g, inv.eta, inv.mu) == (2, 2, 1, 5)
-        assert peak < 1 << 16
+        # either X leaves a finite part 10**12 below the tail of A \\ X,
+        # so the mask scan of eta moves its tail window down to it
+        top = 10**12
+        for x, eta_witness, mu_witness in (([0], (top, top + 1), 5),
+                                           ([5], (top, top + 1), 0)):
+            obj = {"A": {"finite": [0, 5], "threshold": top, "modulus": 3,
+                         "residues": [1, 2]}, "X": x}
+            tracemalloc.start()
+            report = verify_instance(
+                RemovalInstance.from_json(json.dumps(obj)))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            inv = report.invariants
+            assert (report.h, report.g, inv.eta, inv.mu) == (2, 2, 1, 5)
+            assert (inv.eta_witness, inv.mu_witness) == (eta_witness,
+                                                         mu_witness)
+            assert peak < 1 << 16
+
+    def test_instances_stay_masks_through_verify(self):
+        # orders, invariants and bounds read A and A \\ X as their four
+        # ints: verifying decodes neither view of either set
+        cores, memo = {}, {}
+        insts = [_build_instance("two_residue", p, cores)[0]
+                 for p in _two_residue_params(9)]  # one sweep task
+        for inst in insts:
+            verify_instance(inst, memo=memo)
+        cells = [cubic_family_instance(3, 4), quadratic_family_instance(3, 4)]
+        for inst in cells:
+            verify_instance(inst)
+        for inst in insts + cells:
+            for s in (inst.a, inst.rest):
+                assert not {"finite_part", "residues"} & set(vars(s))
 
     def test_report_json_shape(self):
         payload = verify_instance(cubic_family_instance(1, 2)).to_json()

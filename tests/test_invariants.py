@@ -22,7 +22,7 @@ from addbasis import (
     mu,
     mu_with_witness,
 )
-from conftest import naive_eta, naive_mu, periodic_sets
+from conftest import naive_eta, naive_mu, periodic_sets, prefix_eta, prefix_mu
 
 EPS = EventuallyPeriodicSet
 
@@ -154,6 +154,61 @@ class TestWindowsAgainstBruteForce:
         wide = 10 * (c.threshold + c.modulus + (max(x) - min(x)) + 1)
         assert eta(a, x) == naive_eta(a, x, wide)
         assert mu(a, x) == naive_mu(a, x, wide)
+
+
+@st.composite
+def removal_pairs(draw):
+    """(A, X): a set with up to 4 of its elements up to T + 2n as X."""
+    a = draw(periodic_sets(max_modulus=12, max_threshold=60))
+    pool = a.prefix(a.threshold + 2 * a.modulus)
+    x = draw(st.sets(st.sampled_from(pool), min_size=1,
+                     max_size=min(4, len(pool))))
+    return a, tuple(sorted(x))
+
+
+def _tall(threshold):
+    """A \\ X = {0, 4} ∪ {x >= T : x ≡ T - 1 mod 3} for X = {1}: w = 5,
+    D' = 1 and n = 3, so T - w sets where _eta's tail window lands."""
+    return (EPS.from_parts([0, 1, 4], threshold, 3, {(threshold - 1) % 3}),
+            (1,))
+
+
+class TestMaskScans:
+    @given(removal_pairs())
+    # T - w = D' + n - 1, D' + n (the window stays at T), D' + 2n - 1 (the
+    # last T it stays at) and D' + 2n (it moves down by n)
+    @example(_tall(8))
+    @example(_tall(9))
+    @example(_tall(11))
+    @example(_tall(12))
+    # F = {0}, D' = 2, eta = 6 = n - 1: a tail window moved down to
+    # T' < w + D' + n would pair 0 with a tail element less than 6 apart
+    @example((EPS.from_parts([0, 1, 3], 40, 7, {4, 5}), (1, 3)))
+    # eta = 3 both in F = {0, 3} and in the tail: the tie goes to F
+    @example((EPS.from_parts([0, 1, 3], 14, 3, {1}), (1,)))
+    # succ(max X) = 12 on the last bit of the mu window 10 + 0 + 1 + 1
+    @example((EPS.from_parts([0, 10], 12, 1, {0}), (10,)))
+    # the three mu window faults: the scan keeps the documented window
+    @example((EPS.from_parts([0, 1, 6], 9, 1, {0}), (6,)))
+    @example((EPS.from_parts([0, 2, 20], 30, 3, {0, 1}), (20,)))
+    @example((EPS.from_parts([0, 30, 33], 45, 5, {0, 2}), (30, 33)))
+    @settings(max_examples=200, deadline=None)
+    def test_scans_match_the_prefix_reference(self, pair):
+        # the mask scans give the value and the witness of the sorted-prefix
+        # scans over the same windows, on every (A, X)
+        a, x = pair
+        rest = a.remove_finite(x)
+        expect = prefix_eta(rest, x)
+        if expect is None:
+            with pytest.raises(NoQualifyingPair):
+                eta_with_witness(a, x)
+        else:
+            assert eta_with_witness(a, x) == expect
+        if rest.is_empty:
+            with pytest.raises(EmptyComplement):
+                mu_with_witness(a, x)
+        else:
+            assert mu_with_witness(a, x) == prefix_mu(rest, x)
 
 
 class TestInstanceInvariants:
