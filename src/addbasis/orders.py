@@ -12,7 +12,10 @@ other in the test suite:
 ``bitset``
     Materialises each h-fold sumset with the prefix-convolution kernel in
     :mod:`addbasis.periodic` and tests cofiniteness directly.  Simple and
-    close to the definition; cost grows with h * threshold.
+    close to the definition.  Step h adds A to the fold (h-1)A and combs
+    the operand with fewer pieces, usually A: |F| + |R| + ceil(log2(bound
+    / n)) shift-ORs of ints bound = T((h-1)A) + T + 4N bits wide, with N
+    the lcm of the two moduli.
 
 ``residue``
     Reduces the cofiniteness question to residue classes.  Write

@@ -21,7 +21,14 @@ T1 + T2 + N onwards (split any sum a + b: if a < T1 + N then
 b > (a+b) - T1 - N >= T2, so one summand always sits in a periodic tail
 and absorbs a shift by N).  We therefore convolve bitmask prefixes of
 length T1 + T2 + 4N, read the tail off a window, and verify the claimed
-periodicity over the remaining three windows as a bug trap.
+periodicity over the remaining three windows as a bug trap.  The
+convolution shifts one operand's prefix mask to each finite element of
+the other and combs the other's tail: one shift to the first tail
+element of each residue, then the comb ORed onto itself shifted by n,
+2n, 4n, ... (n the other's modulus) until the step passes the bound.
+The last doublings overshoot the bound, but bits only move up, so the
+cut at the bound removes exactly the overshoot: a logarithmic number of
+shift-ORs, not one per tail element.
 
 All values are immutable; operations are pure functions returning
 canonical values, so instances may be shared freely across threads.
@@ -350,20 +357,39 @@ class EventuallyPeriodicSet:
     # arithmetic
 
     def sumset(self, other: "EventuallyPeriodicSet") -> "EventuallyPeriodicSet":
-        """Exact sumset {a + b : a in self, b in other}, canonical."""
+        """Exact sumset {a + b : a in self, b in other}, canonical.
+
+        b is the operand with fewer pieces (finite elements plus residues;
+        ``other`` on a tie).  a's prefix mask is shifted to each finite
+        element of b and to the first tail element t_r = T_b + (r - T_b)
+        mod n_b of each residue r of b, which starts a comb: comb |= comb
+        << step for step = n_b, 2 n_b, 4 n_b, ... while step <= bound.
+        After j steps the comb holds the shifts t_r + k n_b for every
+        k < 2^j, and the loop ends at 2^j n_b > bound, so a larger k
+        shifts every bit past the bound, where the final mask cuts it.
+        Bits only move up, so cutting to bound + 1 bits after each step
+        loses nothing: |F_b| + |R_b| + ceil(log2(bound / n_b)) shift-ORs."""
         a, b = self, other
         if a.is_empty or b.is_empty:
             raise EmptyOperand("sumset of an empty set is undefined")
+        if (a._fmask.bit_count() + a._rmask.bit_count()
+                < b._fmask.bit_count() + b._rmask.bit_count()):
+            a, b = b, a
         period = lcm(a.modulus, b.modulus)
         tail_start = a.threshold + b.threshold + period
         bound = tail_start + 3 * period
-        ma, mb = a._prefix_mask(bound), b._prefix_mask(bound)
-        if mb.bit_count() > ma.bit_count():
-            ma, mb = mb, ma
-        acc = 0
-        for shift in _bits(mb):
-            acc |= ma << shift
-        acc &= (1 << (bound + 1)) - 1
+        full = (1 << (bound + 1)) - 1
+        ma, tb, nb = a._prefix_mask(bound), b.threshold, b.modulus
+        comb, step = 0, nb
+        for r in _bits(b._rmask):
+            comb |= ma << tb + (r - tb) % nb
+        comb &= full
+        while step <= bound:
+            comb |= (comb << step) & full
+            step *= 2
+        for shift in _bits(b._fmask):
+            comb |= ma << shift
+        acc = comb & full
         # bug trap: the tail must already repeat with the computed period
         span = (1 << (bound - period - tail_start + 1)) - 1
         if ((acc >> tail_start) ^ (acc >> (tail_start + period))) & span:

@@ -4,16 +4,20 @@ The naive oracles here deliberately avoid the production code paths:
 sumsets are literal pairwise sums of enumerated prefixes, and eta/mu are
 brute-force minima over oversized windows.  Tests freeze expected values
 computed by these oracles and compare the fast implementations against
-them.
+them.  The ``prefix_*`` references compute the same value as a fast
+kernel by a plainer scan, and the kernel must match them exactly:
+witnesses, and a set's four stored ints, included.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import lcm
 
 from hypothesis import strategies as st
 
 from addbasis import EventuallyPeriodicSet
+from addbasis.periodic import _bits
 
 
 @st.composite
@@ -38,6 +42,28 @@ def naive_sumset_prefix(s1: EventuallyPeriodicSet, s2: EventuallyPeriodicSet,
     l1, l2 = s1.prefix(bound), s2.prefix(bound)
     sums = {a + b for a in l1 for b in l2 if a + b <= bound}
     return sorted(sums)
+
+
+def prefix_sumset(a: EventuallyPeriodicSet,
+                  b: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
+    """a + b by the per-element kernel: both prefixes up to the bound
+    T_a + T_b + 4 lcm(n_a, n_b) as masks, the denser one ORed in once at
+    each element of the sparser one, then the same bug trap and rebuild
+    as ``sumset``.  The reference that the comb in ``sumset`` must match
+    on all four stored ints."""
+    period = lcm(a.modulus, b.modulus)
+    tail_start = a.threshold + b.threshold + period
+    bound = tail_start + 3 * period
+    ma, mb = a._prefix_mask(bound), b._prefix_mask(bound)
+    if mb.bit_count() > ma.bit_count():
+        ma, mb = mb, ma
+    acc = 0
+    for shift in _bits(mb):
+        acc |= ma << shift
+    acc &= (1 << (bound + 1)) - 1
+    span = (1 << (bound - period - tail_start + 1)) - 1
+    assert not ((acc >> tail_start) ^ (acc >> (tail_start + period))) & span
+    return EventuallyPeriodicSet._from_prefix_mask(acc, tail_start, period)
 
 
 def naive_h_fold_prefix(s: EventuallyPeriodicSet, h: int,

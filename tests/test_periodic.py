@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from addbasis import (EmptyOperand, EventuallyPeriodicSet, NotASubset,
                       cubic_family_instance, order)
 from addbasis.periodic import _bits, _min_period
-from conftest import naive_h_fold_prefix, naive_sumset_prefix, periodic_sets
+from conftest import (naive_h_fold_prefix, naive_sumset_prefix, periodic_sets,
+                      prefix_sumset)
 
 EPS = EventuallyPeriodicSet
 
@@ -147,6 +148,29 @@ class TestContains:
         assert -1 not in EPS.naturals()
 
 
+@st.composite
+def dense_or_sparse_sets(draw, max_modulus=30, max_threshold=200):
+    """A set whose finite part and residues are dense (each x below T and
+    each residue kept with one drawn probability in [0.2, 0.9]) or sparse
+    (a few elements)."""
+    n = draw(st.integers(1, max_modulus))
+    t = draw(st.integers(0, max_threshold))
+    if draw(st.booleans()):
+        rnd, odds = draw(st.randoms()), draw(st.floats(0.2, 0.9))
+        finite = [x for x in range(t) if rnd.random() < odds]
+        residues = [r for r in range(n) if rnd.random() < odds]
+    else:
+        finite = draw(st.sets(st.integers(0, t - 1), max_size=4)) if t else ()
+        residues = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    s = EPS.from_parts(finite, t, n, residues)
+    return EPS.from_periodic(n, {n - 1}) if s.is_empty else s
+
+
+def stored(s):
+    """The four ints a set is stored as, and its hash."""
+    return s._fmask, s.threshold, s.modulus, s._rmask, hash(s)
+
+
 class TestSumset:
     def test_evens_plus_evens(self):
         evens = EPS.from_periodic(2, {0})
@@ -213,6 +237,34 @@ class TestSumset:
         assert kept["_rmask"] == sum({1 << x % n for x in c.prefix(t + n - 1)
                                       if x >= t})
         assert vars(d)["_rmask"] == kept["_rmask"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_or_sparse_sets(), dense_or_sparse_sets())
+    # the combed operand (fewer pieces) is finite
+    @example(EPS.from_parts([0, 2], 3, 8, {1, 4}), EPS.from_finite([1, 5]))
+    @example(EPS.from_finite([1, 5]), EPS.from_finite([0, 10]))  # both finite
+    # two pieces each; then lcm 12, above both moduli
+    @example(EPS.from_periodic(5, {2, 4}), EPS.from_parts([1], 2, 3, {0}))
+    @example(EPS.from_periodic(4, {1}), EPS.from_parts([0], 1, 6, {1, 3}))
+    # bound = 8 + 0 + 4·2 = 2^3·2 and t_r = 0 for the evens, 0 in a:
+    # bit 16 is 0 + 16 alone (odd + even is odd), the last doubling's sum
+    @example(EPS.from_parts([0], 8, 2, {1}), EPS.from_periodic(2, {0}))
+    def test_comb_matches_the_prefix_kernel(self, s1, s2):
+        # the comb and the per-element kernel store the same four ints,
+        # whichever operand is combed
+        for a, b in ((s1, s2), (s2, s1)):
+            assert stored(a + b) == stored(prefix_sumset(a, b))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dense_or_sparse_sets(max_modulus=12, max_threshold=40),
+           st.integers(2, 6))
+    @example(EPS.from_parts([0, 2], 3, 8, {1, 4}), 7)
+    def test_h_fold_matches_the_prefix_kernel(self, s, h):
+        # doubling with the comb against h - 1 per-element sums
+        want = s
+        for _ in range(h - 1):
+            want = prefix_sumset(want, s)
+        assert stored(s.h_fold(h)) == stored(want)
 
     def test_folds_stay_masks_until_read(self, monkeypatch):
         # a sumset result, and each fold of the bitset engine, is stored as
