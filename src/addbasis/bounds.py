@@ -26,7 +26,7 @@ from .errors import (BoundViolation, NoQualifyingDivisor, NotASubset,
 from .invariants import InstanceInvariants, instance_invariants
 from .orders import DEFAULT_H_CAP, _memo_order, order
 from .periodic import (EventuallyPeriodicSet, _divisors, _json_field,
-                       _json_keys, as_finite_set)
+                       _json_object, as_finite_set)
 
 
 # ----------------------------------------------------------------------
@@ -62,18 +62,11 @@ class RemovalInstance:
 
     @classmethod
     def from_json(cls, obj: dict | str) -> "RemovalInstance":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if not isinstance(obj, dict):
-            raise ValueError(f"instance must be an object, got {obj!r}")
-        _json_keys(obj, ("A", "X", "label"), "instance has no field")
-        a, label = obj.get("A"), obj.get("label", "")
+        obj = _json_object(obj, ("A", "X", "label"), "instance")
+        a = obj.get("A")  # required: no default stands in for it
         if not isinstance(a, dict):
             raise ValueError(f"JSON field 'A' must be an object, got {a!r}")
-        if not isinstance(label, str):
-            raise ValueError(f"JSON field 'label' must be a string, "
-                             f"got {label!r}")
-        x = _json_field(obj, "X", [])
+        label, x = _json_field(obj, "label", ""), _json_field(obj, "X", [])
         return cls(EventuallyPeriodicSet.from_json(a), x, label)
 
 

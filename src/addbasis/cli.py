@@ -31,9 +31,10 @@ from .sweeps import (
 USAGE_ERROR, ENGINE_ERROR, VIOLATION_ERROR = 1, 2, 3
 
 
-def _read_json_arg(path: str):
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return json.loads(text)
+def _read_json_arg(path: str) -> str:
+    """The JSON text at ``path`` (``-``: stdin), for a ``from_json`` to
+    parse once."""
+    return sys.stdin.read() if path == "-" else Path(path).read_text()
 
 
 def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:

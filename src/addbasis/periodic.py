@@ -39,9 +39,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count
+from functools import cached_property
+from itertools import compress, count
 from math import gcd, isqrt, lcm
-from operator import add, lt
+from operator import lt
 from typing import Iterable
 
 from .errors import EmptyOperand, InternalInconsistency, NotASubset
@@ -59,14 +60,15 @@ def as_finite_set(xs: Iterable[int]) -> tuple[int, ...]:
     """
     if type(xs) is _FiniteSet:
         return xs
-    out = sorted(set(xs))
-    if not out:
+    elems = set(xs)
+    if not elems:
         raise ValueError("finite set must be nonempty")
-    for x in out:
+    for x in elems:  # before sorting, which mixed types would break
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValueError(f"finite set elements must be ints, got {x!r}")
-        if x < 0:
-            raise ValueError(f"finite set elements must be >= 0, got {x}")
+    out = sorted(elems)
+    if out[0] < 0:
+        raise ValueError(f"finite set elements must be >= 0, got {out[0]}")
     return _FiniteSet(out)
 
 
@@ -77,14 +79,29 @@ def _json_keys(obj, keys: Iterable[str], what: str) -> None:
         raise ValueError(f"{what} {unknown}; valid: {list(keys)}")
 
 
-def _json_field(obj, key: str, default: int | list):
+def _json_object(obj: dict | str, keys: Iterable[str], what: str) -> dict:
+    """``obj``, parsed once if it is JSON text, checked to be an object
+    with no key outside ``keys``; ``what`` names it in the error."""
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
+    _json_keys(obj, keys, f"{what} has no field")
+    return obj
+
+
+_KINDS = {int: "an int", list: "a list of ints", dict: "an object",
+          str: "a string", bool: "a boolean"}
+
+
+def _json_field(obj: dict, key: str, default):
     """``obj[key]`` (``default`` when absent) of a parsed JSON object,
-    checked to have the default's type: an int or a list of ints."""
-    v = obj.get(key, default) if isinstance(obj, dict) else None
-    kind = "a list of ints" if isinstance(default, list) else "an int"
-    if isinstance(v, list) != isinstance(default, list) or any(
-            type(e) is not int for e in (v if isinstance(v, list) else [v])):
-        raise ValueError(f"JSON field {key!r} must be {kind}, got {v!r}")
+    checked to have the default's type (one of ``_KINDS``)."""
+    v = obj.get(key, default)
+    if type(v) is not type(default) or type(v) is list and any(
+            type(e) is not int for e in v):
+        raise ValueError(f"JSON field {key!r} must be "
+                         f"{_KINDS[type(default)]}, got {v!r}")
     return v
 
 
@@ -93,14 +110,11 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to 0/1 bytes
 
 def _bits(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending.  Up to 8 set bits
-    are peeled off, lowest first (3x faster than the rest for 2).  More
-    are read in one pass over the binary digits: run by run of zeros,
-    which makes an int only per set bit, or digit by digit, which makes
-    one per digit but less work per set bit.  The two cost the same at
-    about one set bit in five (measured at widths 2,000 to 200,000,
-    Python 3.11).  A list, so that a tuple made from it is allocated at
-    its size (one grown from an iterator raised the peak RSS of long
-    bitset runs by ~10%)."""
+    are peeled off, lowest first (2x faster than the digit pass for 2 at
+    width 8, more when wider; Python 3.11); more are read in one pass
+    over the binary digits, linear in the width.  A list, so that a tuple
+    made from it is allocated at its size (one grown from an iterator
+    raised the peak RSS of long bitset runs by ~10%)."""
     if mask.bit_count() <= 8:
         out = []
         while mask:
@@ -108,12 +122,7 @@ def _bits(mask: int) -> list[int]:
             out.append(low.bit_length() - 1)
             mask ^= low
         return out
-    digits = bin(mask)[:1:-1]
-    if 5 * mask.bit_count() < len(digits):
-        gaps = digits.split("1")  # the run of zeros below each set bit
-        gaps.pop()
-        return list(map(add, accumulate(map(len, gaps)), count()))
-    return list(compress(count(), digits.encode().translate(_BITS)))
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 def _mask(xs: Iterable[int]) -> int:
@@ -158,20 +167,6 @@ def _min_period(rmask: int, n: int) -> int:
             if fixes(m // p):
                 m //= p
     return m
-
-
-class _Decoded:
-    """A view decoded on first read, then set where later reads find it."""
-
-    def __init__(self, name, decode):
-        self.name, self.decode = name, decode
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.decode(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -240,8 +235,8 @@ class EventuallyPeriodicSet:
             object.__setattr__(self, name, value)  # a __dict__ read: 2x slower
         return self
 
-    finite_part = _Decoded("finite_part", lambda s: tuple(_bits(s._fmask)))
-    residues = _Decoded("residues", lambda s: frozenset(_bits(s._rmask)))
+    finite_part = cached_property(lambda s: tuple(_bits(s._fmask)))
+    residues = cached_property(lambda s: frozenset(_bits(s._rmask)))
 
     # ------------------------------------------------------------------
     # constructors
@@ -511,10 +506,8 @@ class EventuallyPeriodicSet:
     def from_json(cls, obj: dict | str) -> "EventuallyPeriodicSet":
         """Parse the interchange form; the result is canonicalized.  An
         unknown field, or one of the wrong JSON type, raises ValueError."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         fields = {"finite": [], "threshold": 0, "modulus": 1, "residues": []}
-        _json_keys(obj, fields, "set has no field")
+        obj = _json_object(obj, fields, "set")
         return cls.from_parts(*(_json_field(obj, k, v)
                                 for k, v in fields.items()))
 

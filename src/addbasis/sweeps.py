@@ -37,7 +37,7 @@ from .errors import (BoundViolation, InternalInconsistency,
                      PersistenceError, ToolkitError)
 from .orders import DEFAULT_H_CAP, _cover
 from .periodic import (EventuallyPeriodicSet, _json_field, _json_keys,
-                       as_finite_set)
+                       _json_object, as_finite_set)
 
 FAMILIES = {"cubic": {"d": [1], "k": [2]}, "quadratic": {"h": [2], "mu": [2]},
             "two_residue": {"n_max": 12}}  # range axes and their defaults
@@ -66,15 +66,8 @@ class SweepConfig:
     def from_json(cls, obj: dict | str) -> "SweepConfig":
         """Parse a config; an unknown or mistyped field raises ValueError.
         Range axes are ints (n_max), int lists or {"min": int, "max": int}."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if not isinstance(obj, dict):
-            raise ValueError(f"sweep config must be an object, got {obj!r}")
-        _json_keys(obj, cls.__dataclass_fields__, "sweep config has no field")
-        ranges = obj.get("ranges", {})
-        if not isinstance(ranges, dict):
-            raise ValueError(f"JSON field 'ranges' must be an object, "
-                             f"got {ranges!r}")
+        obj = _json_object(obj, cls.__dataclass_fields__, "sweep config")
+        ranges = _json_field(obj, "ranges", {})
         for name, axis in ranges.items():
             if name != "n_max" and isinstance(axis, dict):
                 _json_keys(axis, ("min", "max"), f"axis {name!r} has no key")
@@ -83,12 +76,10 @@ class SweepConfig:
                                      f"'min' and 'max', got {axis!r}")
             else:
                 _json_field(ranges, name, 0 if name == "n_max" else [])
-        out, resume = obj.get("out"), obj.get("resume", False)
+        out = obj.get("out")
         if out is not None and not isinstance(out, str):
             raise ValueError(f"JSON field 'out' must be a string, got {out!r}")
-        if not isinstance(resume, bool):
-            raise ValueError(f"JSON field 'resume' must be a boolean, "
-                             f"got {resume!r}")
+        resume = _json_field(obj, "resume", False)
         return cls(
             family=obj["family"],
             ranges=dict(ranges),

@@ -11,6 +11,9 @@ import pytest
 from addbasis.cli import main
 
 
+NATURALS = {"modulus": 2, "residues": [0, 1]}  # N, written mod 2
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -259,6 +262,27 @@ class TestUsageErrors:
         code, stdout, err = run_cli(capsys, "verify", str(path))
         assert code == 1 and err.startswith("usage error:")
         assert repr(field) in err and stdout == ""
+
+    @pytest.mark.parametrize("argv,payload,what", [
+        (["order"], NATURALS, "set"),
+        (["invariants"], {"A": NATURALS, "X": [0]}, "instance"),
+        (["verify"], {"A": NATURALS, "X": [0]}, "instance"),
+        (["sweep", "--config"],
+         {"family": "two_residue", "ranges": {"n_max": 4}}, "sweep config")])
+    @pytest.mark.parametrize("as_text", [True, False])
+    def test_input_that_is_no_object(self, tmp_path, capsys, argv, payload,
+                                     what, as_text):
+        # each input is parsed once: the object is read, but the same
+        # object written as a JSON string is refused like an array is,
+        # naming what the input stands for
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(capsys, *argv, str(path))[0] == 0
+        wrong = json.dumps(payload) if as_text else [1, 2]
+        path.write_text(json.dumps(wrong))
+        code, stdout, err = run_cli(capsys, *argv, str(path))
+        assert code == 1 and stdout == ""
+        assert err == f"usage error: {what} must be an object, got {wrong!r}\n"
 
     @pytest.mark.parametrize("command", ["order", "verify"])
     @pytest.mark.parametrize("h_cap", ["0", "-5"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from addbasis import (EmptyOperand, EventuallyPeriodicSet, NotASubset,
                       cubic_family_instance, order)
-from addbasis.periodic import _bits, _min_period
+from addbasis.periodic import _bits, _min_period, as_finite_set
 from conftest import (naive_h_fold_prefix, naive_sumset_prefix, periodic_sets,
                       prefix_sumset)
 
@@ -284,6 +284,8 @@ class TestSumset:
             assert not {"finite_part", "residues"} & set(vars(fold))
             fields = (fold.finite_part, fold.threshold, fold.modulus,
                       fold.residues)
+            # decoded once: a second read finds the view under its name
+            assert vars(fold)["finite_part"] is fold.finite_part is fields[0]
             d = EPS(*fields)
             assert (d.finite_part, d.threshold, d.modulus, d.residues) == fields
 
@@ -325,9 +327,11 @@ class TestSumset:
             {1 << x % n for x in (*s.finite_part, *s.residues)})
 
     @given(st.sets(st.integers(0, 300)), st.booleans())
+    @example(set(range(3, 300, 38)), False)  # 8 set bits: peeled
+    @example(set(range(3, 300, 33)), False)  # 9: read by the digit pass
     def test_bits_lists_the_set_bits(self, positions, dense):
         mask = sum(1 << i for i in positions)
-        if dense:  # the complement, so that both ways of reading run
+        if dense:  # the complement: a digit pass over a mostly-set mask
             mask ^= (1 << 301) - 1
         assert _bits(mask) == [i for i in range(mask.bit_length())
                                if mask >> i & 1]
@@ -520,6 +524,15 @@ class TestRemoveAndAdjoin:
     def test_remove_requires_subset(self):
         with pytest.raises(NotASubset):
             EPS.from_periodic(2, {0}).remove_finite([1])
+
+    @pytest.mark.parametrize("xs,message", [
+        ([1, "a"], "must be ints, got 'a'"),
+        ([None, 1], "must be ints, got None"),
+        ([3, -2, -1], ">= 0, got -2"), ([], "nonempty")])
+    def test_finite_set_faults_raise_value_error(self, xs, message):
+        # the elements are checked before sorting, which mixed types break
+        with pytest.raises(ValueError, match=message):
+            as_finite_set(xs)
 
     def test_remove_first_even(self):
         s = EPS.from_periodic(2, {0}).remove_finite([0])
